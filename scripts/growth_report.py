@@ -14,8 +14,7 @@ import sys
 
 import numpy as np
 
-from disclab import VanDerCorput, prefix, prefix_discrepancies
-from disclab.experiments import VDC_STAR_TARGET
+from disclab import VDC_STAR_TARGET, VanDerCorput, prefix, prefix_discrepancies
 
 
 def main() -> int:

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run every verification suite and write one JSON report per suite.
 
-Exit status is the number of failed suites. The vdc-constant suite is
-expected to report one failed check (the windowed-sup bracket; see the
-README notes on finite-depth behaviour) while its envelope-slope check
-passes.
+Exit status is the number of failed suites. The vdc-constant and growth
+suites are judged by the named checks that `disclab.experiments` attaches to
+their reports, picked by name: the envelope slope, and the extreme and
+n * diaphony exponents. The raw windowed sup and the plain star exponent are
+written to the reports but not gated on, because they fail by measurement at
+any reachable n (see the README notes on finite-depth behaviour).
 """
 
 import argparse
@@ -20,6 +22,14 @@ from disclab import (
     vdc_exponent_report,
     vdc_star_constant,
 )
+
+# Name prefixes of the experiment checks that count toward the exit status.
+GATED = ("envelope_slope", "extreme_alpha", "n_diaphony_alpha")
+
+
+def gate(checks: dict[str, bool]) -> bool:
+    picked = [ok for name, ok in checks.items() if name.startswith(GATED)]
+    return bool(picked) and all(picked)
 
 
 def main() -> int:
@@ -50,8 +60,9 @@ def main() -> int:
         failures += not rep.passed
 
     const = vdc_star_constant(args.constant_max_n, n_min=16)
-    (out / "vdc_constant.json").write_text(json.dumps(const.to_dict(), indent=2))
-    slope_ok = abs(const.envelope_slope - const.target) <= 0.01 * const.target
+    report = const.to_dict()
+    (out / "vdc_constant.json").write_text(json.dumps(report, indent=2))
+    slope_ok = gate(report["checks"])
     print(
         f"vdc-constant: envelope slope {const.envelope_slope:.6f} "
         f"(limit {const.target:.6f}, {'ok' if slope_ok else 'FAILED'}); "
@@ -67,8 +78,7 @@ def main() -> int:
         "growth exponents: "
         + ", ".join(f"{k}={v['alpha']:.4f}" for k, v in fits.items())
     )
-    ok = 0.4 <= fits["extreme"]["alpha"] <= 0.6 and 0.4 <= fits["n_diaphony"]["alpha"] <= 0.6
-    failures += not ok
+    failures += not gate(growth["checks"])
 
     print(f"reports written to {out}/")
     return failures

@@ -14,6 +14,7 @@ from .errors import (
 )
 from .exact_l2 import diaphony, diaphony_truncated, extreme_l2, periodic_l2, star_l2
 from .experiments import (
+    VDC_STAR_TARGET,
     ScanRow,
     VerdictReport,
     diaphony_scan,
@@ -63,6 +64,7 @@ __all__ = [
     "PeriodicBox",
     "PointSet",
     "ScanRow",
+    "VDC_STAR_TARGET",
     "VanDerCorput",
     "VerdictReport",
     "count_points",

@@ -25,8 +25,10 @@ Numerically, each formula is evaluated as a single compensated pair sum of
 centered terms (per-point cross terms folded into the summand, the large
 rational constant split into two doubles), which keeps well over ten
 significant digits up to n = 2^16 even though the raw terms cancel by eight
-orders of magnitude. Pair loops walk the upper block triangle and double the
-off-diagonal blocks; doubling is exact in binary, and the block layout is
+orders of magnitude. Every pair sum here, the truncated diaphony included,
+goes through one blocked pair sum, `_pair_sum`, with either a product kernel or
+an incrementally expanded one. It walks the upper block triangle and doubles
+the off-diagonal blocks; doubling is exact in binary, and the block layout is
 fixed, so results do not depend on evaluation order or available parallelism.
 """
 
@@ -59,21 +61,63 @@ def _bernoulli2(t: np.ndarray) -> np.ndarray:
     return f * f - f + (1.0 / 6.0)
 
 
-def _block_pair_sum(coords: np.ndarray, block_fn) -> KernelAccumulator:
-    """Accumulate sum_{k,l} K(x_k, x_l) where block_fn(xi, xj) returns the
-    kernel matrix of one block pair. Off-diagonal blocks contribute twice
+def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> KernelAccumulator:
+    """Accumulate sum_{k,l} (K(x_k, x_l) - g_k - g_l), where block_fn(xi, xj)
+    returns the kernel matrix of one block pair and the optional per-point
+    term g is folded into the summand. Off-diagonal blocks contribute twice
     (symmetry); the factor two is exact."""
-    n = coords.shape[0]
+    n = x.shape[0]
     acc = KernelAccumulator()
     for i0 in range(0, n, _BLOCK):
-        xi = coords[i0 : i0 + _BLOCK]
+        xi = x[i0 : i0 + _BLOCK]
         for j0 in range(i0, n, _BLOCK):
-            xj = coords[j0 : j0 + _BLOCK]
-            hi, lo = comp_sum(block_fn(xi, xj))
+            K = block_fn(xi, x[j0 : j0 + _BLOCK])
+            if g is not None:
+                K -= g[i0 : i0 + _BLOCK, None]
+                K -= g[None, j0 : j0 + _BLOCK]
+            hi, lo = comp_sum(K)
+            del K  # free it before the next block is built, or peak memory holds one more
             if j0 > i0:
                 hi, lo = 2.0 * hi, 2.0 * lo
             acc.add_pair(hi, lo)
     return acc
+
+
+def _product_kernel(factor):
+    """Block kernel prod_j factor(xi_j, xj_j); factor returns the outer
+    matrix of one coordinate."""
+
+    def block(xi, xj):
+        K = factor(xi[:, 0], xj[:, 0])
+        for j in range(1, xi.shape[1]):
+            K *= factor(xi[:, j], xj[:, j])
+        return K
+
+    return block
+
+
+def _incremental_kernel(term):
+    """Block kernel prod_j (1 + a_j) - 1 with a_j = term(xi_j, xj_j), expanded
+    incrementally as K + a + K a so the summand consists of O(|a|)-sized
+    terms; this preserves full relative accuracy even when the pair sum is
+    10 orders of magnitude below the number of pairs."""
+
+    def block(xi, xj):
+        K = term(xi[:, 0], xj[:, 0])
+        for j in range(1, xi.shape[1]):
+            a = term(xi[:, j], xj[:, j])
+            K = K + a + K * a
+        return K
+
+    return block
+
+
+def _root(acc: KernelAccumulator, num: int, den: int) -> float:
+    """sqrt of the pair sum plus the rational constant num/den, the constant
+    entering as two doubles."""
+    chi, clo = exact_ratio_parts(num, den)
+    s, c = acc.parts
+    return math.sqrt(max(math.fsum((s, c, chi, clo)), 0.0))
 
 
 def star_l2(points: PointSet) -> float:
@@ -82,25 +126,8 @@ def star_l2(points: PointSet) -> float:
     x = points.coords
     n, d = x.shape
     g = np.prod((1.0 - x * x) / 2.0, axis=1)
-    acc = KernelAccumulator()
-    for i0 in range(0, n, _BLOCK):
-        xi = x[i0 : i0 + _BLOCK]
-        gi = g[i0 : i0 + _BLOCK]
-        for j0 in range(i0, n, _BLOCK):
-            xj = x[j0 : j0 + _BLOCK]
-            gj = g[j0 : j0 + _BLOCK]
-            K = np.ones((xi.shape[0], xj.shape[0]))
-            for j in range(d):
-                K *= 1.0 - np.maximum.outer(xi[:, j], xj[:, j])
-            K -= gi[:, None]
-            K -= gj[None, :]
-            hi, lo = comp_sum(K)
-            if j0 > i0:
-                hi, lo = 2.0 * hi, 2.0 * lo
-            acc.add_pair(hi, lo)
-    chi, clo = exact_ratio_parts(n * n, 3**d)
-    s, c = acc.parts
-    return math.sqrt(max(math.fsum((s, c, chi, clo)), 0.0))
+    acc = _pair_sum(x, _product_kernel(lambda u, v: 1.0 - np.maximum.outer(u, v)), g)
+    return _root(acc, n * n, 3**d)
 
 
 def extreme_l2(points: PointSet) -> float:
@@ -109,25 +136,10 @@ def extreme_l2(points: PointSet) -> float:
     x = points.coords
     n, d = x.shape
     g = np.prod(x * (1.0 - x) / 2.0, axis=1)
-    acc = KernelAccumulator()
-    for i0 in range(0, n, _BLOCK):
-        xi = x[i0 : i0 + _BLOCK]
-        gi = g[i0 : i0 + _BLOCK]
-        for j0 in range(i0, n, _BLOCK):
-            xj = x[j0 : j0 + _BLOCK]
-            gj = g[j0 : j0 + _BLOCK]
-            K = np.ones((xi.shape[0], xj.shape[0]))
-            for j in range(d):
-                K *= np.minimum.outer(xi[:, j], xj[:, j]) - np.outer(xi[:, j], xj[:, j])
-            K -= gi[:, None]
-            K -= gj[None, :]
-            hi, lo = comp_sum(K)
-            if j0 > i0:
-                hi, lo = 2.0 * hi, 2.0 * lo
-            acc.add_pair(hi, lo)
-    chi, clo = exact_ratio_parts(n * n, 12**d)
-    s, c = acc.parts
-    return math.sqrt(max(math.fsum((s, c, chi, clo)), 0.0))
+    acc = _pair_sum(
+        x, _product_kernel(lambda u, v: np.minimum.outer(u, v) - np.outer(u, v)), g
+    )
+    return _root(acc, n * n, 12**d)
 
 
 def periodic_l2(points: PointSet) -> float:
@@ -135,39 +147,25 @@ def periodic_l2(points: PointSet) -> float:
     points.require_nonempty()
     x = points.coords
     n, d = x.shape
-
-    def block(xi, xj):
-        K = np.ones((xi.shape[0], xj.shape[0]))
-        for j in range(d):
-            K *= (1.0 / 3.0) + _bernoulli2(np.subtract.outer(xi[:, j], xj[:, j]))
-        return K
-
-    acc = _block_pair_sum(x, block)
-    chi, clo = exact_ratio_parts(-(n * n), 3**d)
-    s, c = acc.parts
-    return math.sqrt(max(math.fsum((s, c, chi, clo)), 0.0))
+    acc = _pair_sum(
+        x, _product_kernel(lambda u, v: (1.0 / 3.0) + _bernoulli2(np.subtract.outer(u, v)))
+    )
+    return _root(acc, -(n * n), 3**d)
 
 
 def diaphony(points: PointSet) -> float:
     """Diaphony: Fourier-weighted uniformity with weights 1/r(h)^2 over
     nonzero integer frequency vectors, normalized by n.
 
-    The summand prod_j (1 + a_j) - 1 is expanded incrementally so the pair
-    sum consists of O(|a|)-sized terms; this preserves full relative accuracy
-    even when F^2 is 10 orders of magnitude below 1.
+    The summand prod_j (1 + a_j) - 1 is expanded incrementally, which keeps
+    full relative accuracy even when F^2 is 10 orders of magnitude below 1.
     """
     points.require_nonempty()
     x = points.coords
-    n, d = x.shape
-
-    def block(xi, xj):
-        K = None
-        for j in range(d):
-            a = _TWO_PI_SQ * _bernoulli2(np.subtract.outer(xi[:, j], xj[:, j]))
-            K = a if K is None else K + a + K * a
-        return K
-
-    acc = _block_pair_sum(x, block)
+    n = x.shape[0]
+    acc = _pair_sum(
+        x, _incremental_kernel(lambda u, v: _TWO_PI_SQ * _bernoulli2(np.subtract.outer(u, v)))
+    )
     f2 = acc.value / (n * n)
     return math.sqrt(max(f2, 0.0))
 
@@ -198,24 +196,17 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
     h = np.arange(1, h_max + 1, dtype=np.float64)
     w = 1.0 / (h * h)
     two_pi_h = 2.0 * math.pi * h
+    chunk = max(1, (1 << 22) // h_max)  # keeps each cos table within ~32MB
 
-    def g_kernel(deltas: np.ndarray) -> np.ndarray:
-        # deltas flat; returns g_H per delta. Chunk the outer product so the
-        # cos table stays within ~32MB.
+    def g_minus_one(u, v):
+        deltas = np.subtract.outer(u, v).ravel()
         out = np.empty(deltas.size)
-        chunk = max(1, (1 << 22) // h_max)
         for s in range(0, deltas.size, chunk):
-            dd = deltas[s : s + chunk]
-            out[s : s + chunk] = 1.0 + 2.0 * (np.cos(np.outer(dd, two_pi_h)) @ w)
-        return out
+            out[s : s + chunk] = 2.0 * (np.cos(np.outer(deltas[s : s + chunk], two_pi_h)) @ w)
+        return out.reshape(u.size, v.size)
 
-    K = None
-    for j in range(d):
-        delta = np.subtract.outer(x[:, j], x[:, j]).ravel()
-        a = g_kernel(delta) - 1.0
-        K = a if K is None else K + a + K * a
-    hi, lo = comp_sum(K)
-    t2 = max(math.fsum((hi, lo)) / (n * n), 0.0)
+    acc = _pair_sum(x, _incremental_kernel(g_minus_one))
+    t2 = max(acc.value / (n * n), 0.0)
     sigma = 1.0 + math.pi**2 / 3.0
     sigma_h = 1.0 + 2.0 * float(np.sum(w))
     bound = sigma**d - sigma_h**d

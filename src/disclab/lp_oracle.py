@@ -22,6 +22,7 @@ from .pointsets import (
     METHOD_PIECEWISE,
     Estimate,
     PointSet,
+    _count_in_boxes,
 )
 from .rng import PRNG_NAME, uniform01
 
@@ -87,40 +88,16 @@ def _chunk_moments(pts: np.ndarray, cfg: McConfig, start_sample: int, count: int
     width = d if cfg.kind == "star" else 2 * d
     u = uniform01(cfg.seed, start_sample * width, count * width).reshape(count, width)
     if cfg.kind == "star":
-        t = u
-        inside = np.ones((count, n), dtype=bool)
-        for j in range(d):
-            inside &= pts[:, j][None, :] < t[:, j][:, None]
-        delta = inside.sum(axis=1) - n * t.prod(axis=1)
-    elif cfg.kind == "extreme":
+        lo, hi = None, u
+        vol = u.prod(axis=1)
+    else:
         a, b = u[:, :d], u[:, d:]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        if d == 1:
-            xs = np.sort(pts[:, 0])
-            cnt = np.searchsorted(xs, hi[:, 0]) - np.searchsorted(xs, lo[:, 0])
-        else:
-            inside = np.ones((count, n), dtype=bool)
-            for j in range(d):
-                xj = pts[:, j][None, :]
-                inside &= (xj >= lo[:, j][:, None]) & (xj < hi[:, j][:, None])
-            cnt = inside.sum(axis=1)
-        delta = cnt - n * (hi - lo).prod(axis=1)
-    else:  # periodic
-        a, b = u[:, :d], u[:, d:]
-        wrap = a > b
-        if d == 1:
-            xs = np.sort(pts[:, 0])
-            ge_u = n - np.searchsorted(xs, a[:, 0])
-            lt_v = np.searchsorted(xs, b[:, 0])
-            cnt = np.where(wrap[:, 0], ge_u + lt_v, lt_v - (n - ge_u))
-        else:
-            inside = np.ones((count, n), dtype=bool)
-            for j in range(d):
-                xj = pts[:, j][None, :]
-                inside &= (xj >= a[:, j][:, None]) ^ (xj >= b[:, j][:, None]) ^ wrap[:, j][:, None]
-            cnt = inside.sum(axis=1)
-        delta = cnt - n * (b - a + wrap).prod(axis=1)
+        if cfg.kind == "extreme":
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+        else:  # periodic: unordered corners wrap where a > b
+            lo, hi = a, b
+        vol = (hi - lo + (lo > hi)).prod(axis=1)
+    delta = _count_in_boxes(pts, lo, hi) - n * vol
     y = np.abs(delta) ** cfg.p
     if cfg.kind == "extreme":
         # min/max folding doubles the density per coordinate on {u <= v}

@@ -184,21 +184,47 @@ class Estimate:
             raise ValueError("stderr must be present exactly for monte-carlo estimates")
 
 
+def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.ndarray:
+    """Number of rows of x (n, d) inside each of m boxes with corner rows
+    lo and hi (m, d).
+
+    Per coordinate a box is [lo, hi) when lo <= hi and the wrapped pair
+    [0, hi) union [lo, 1) when lo > hi; lo None anchors every box at the
+    origin. Boundaries are exact. In d = 1 the counts come from one sort and
+    binary searches, otherwise from an (m, n) membership mask.
+    """
+    n, d = x.shape
+    if d == 1:
+        xs = np.sort(x[:, 0])
+        cnt = np.searchsorted(xs, hi[:, 0])
+        if lo is not None:
+            cnt = cnt - np.searchsorted(xs, lo[:, 0]) + n * (lo[:, 0] > hi[:, 0])
+        return cnt
+    inside = None
+    for j in range(d):
+        xj = x[:, j]
+        if lo is None:
+            m = xj < hi[:, j, None]
+        else:
+            # (x >= lo) xor (x >= hi) is [lo, hi) or its complement; the
+            # wrap flag picks the right one
+            m = xj >= lo[:, j, None]
+            m ^= xj >= hi[:, j, None]
+            m ^= (lo[:, j] > hi[:, j])[:, None]
+        if inside is None:
+            inside = m
+        else:
+            inside &= m
+    return inside.sum(axis=1)
+
+
 def count_points(points: PointSet, box: Box | PeriodicBox) -> int:
     """Number of points inside the box, with exact half-open boundaries."""
     if points.d != box.d:
         raise DimensionMismatchError(
             f"point set has d={points.d}, box has d={box.d}"
         )
-    x = points.coords
-    if points.n == 0:
-        return 0
-    if isinstance(box, PeriodicBox):
-        wrap = box.u > box.v
-        inside = (x >= box.u) ^ (x >= box.v) ^ wrap
-    else:
-        inside = (x >= box.u) & (x < box.v)
-    return int(np.sum(np.all(inside, axis=1)))
+    return int(_count_in_boxes(points.coords, box.u[None, :], box.v[None, :])[0])
 
 
 def local_discrepancy(points: PointSet, box: Box | PeriodicBox) -> float:

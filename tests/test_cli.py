@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from disclab import extreme_l2, read_points
 
 
@@ -126,6 +128,13 @@ def test_scan_ns_list_and_json():
     payload = json.loads(r.stdout)
     assert [row["n"] for row in payload["rows"]] == [4, 8, 64]
     assert "fit" in payload
+
+
+@pytest.mark.parametrize("ns", ["2..0", "5..2:linear"])
+def test_scan_empty_schedule_is_domain_error(ns):
+    r = run_cli("scan", "--seq", "vdc", "--kind", "star", "--ns", ns)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
 
 
 def test_verify_lemma1_exit_zero(tmp_path):

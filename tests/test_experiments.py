@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from disclab import (
     vdc_star_constant,
 )
 from disclab.errors import GuardError
-from disclab.experiments import VDC_STAR_TARGET
+from disclab.experiments import VDC_STAR_TARGET, _growth_checks, _vdc_constant_checks
 
 
 def test_inequality_suite_small_run_passes():
@@ -151,3 +152,44 @@ def test_vdc_exponent_report_shape():
     assert set(rep["fits"]) == {"star", "extreme", "n_diaphony"}
     for fit in rep["fits"].values():
         assert 0.0 < fit["alpha"] < 1.2
+
+
+def test_vdc_constant_checks_at_their_edges():
+    rep = vdc_star_constant(64)
+    t = rep.target
+
+    def checks(**changes):
+        return _vdc_constant_checks(dataclasses.replace(rep, **changes))
+
+    slope = "envelope_slope_matches_target_1pct"
+    assert checks(envelope_slope=t * 1.0099)[slope]
+    assert checks(envelope_slope=t * 0.9901)[slope]
+    assert not checks(envelope_slope=t * 1.0101)[slope]
+    assert not checks(envelope_slope=t * 0.9899)[slope]
+    sup = "sup_le_target_plus_0.005"
+    assert checks(sup_ratio=t + 0.005)[sup]
+    assert not checks(sup_ratio=math.nextafter(t + 0.005, 1.0))[sup]
+    assert not checks(checkpoint_sups={"16": 0.5, "32": 0.4})["running_sup_monotone"]
+    assert rep.to_dict()["checks"] == checks()
+
+
+@pytest.mark.parametrize(
+    "alpha, half_ok, one_ok",
+    [
+        (0.4, True, False),
+        (0.6, True, False),
+        (0.9, False, True),
+        (1.1, False, True),
+        (math.nextafter(0.4, 0.0), False, False),
+        (math.nextafter(0.6, 1.0), False, False),
+        (math.nextafter(0.9, 0.0), False, False),
+        (math.nextafter(1.1, 2.0), False, False),
+    ],
+)
+def test_growth_checks_at_their_edges(alpha, half_ok, one_ok):
+    fits = {label: {"alpha": alpha} for label in ("star", "extreme", "n_diaphony")}
+    assert _growth_checks(fits) == {
+        "extreme_alpha_in_[0.4,0.6]": half_ok,
+        "n_diaphony_alpha_in_[0.4,0.6]": half_ok,
+        "star_alpha_in_[0.9,1.1]": one_ok,
+    }

@@ -18,6 +18,7 @@ from disclab import (
     star_l2,
     write_points,
 )
+from disclab.pointsets import _count_in_boxes
 
 # dyadic coordinates are exactly representable, which keeps expected values exact
 coord = st.integers(0, 2**20 - 1).map(lambda j: j / 2**20)
@@ -123,6 +124,37 @@ def test_count_monotone_under_box_inclusion(rows, a, b, c):
     inner = Box(mid_lo.astype(float), mid_hi.astype(float))
     outer = Box(lo.astype(float), hi.astype(float))
     assert count_points(p, inner) <= count_points(p, outer)
+
+
+def _count_by_definition(x, lo, hi):
+    """Per point and box: x < hi when anchored, lo <= x < hi when lo <= hi,
+    x < hi or x >= lo when the box wraps."""
+    out = []
+    for b in range(hi.size):
+        if lo is None:
+            out.append(sum(v < hi[b] for v in x))
+        elif lo[b] <= hi[b]:
+            out.append(sum(lo[b] <= v < hi[b] for v in x))
+        else:
+            out.append(sum(v < hi[b] or v >= lo[b] for v in x))
+    return out
+
+
+def test_box_count_d1_fast_path_matches_mask_path_on_box_corners():
+    # dyadic points, duplicates included, on a grid that also holds every
+    # box corner: each boundary rule is exercised exactly
+    x = np.array([0, 1, 1, 3, 4, 4, 7, 5]) / 8
+    corners = np.arange(9) / 8
+    lo, hi = (c.ravel() for c in np.meshgrid(corners, corners, indexing="ij"))
+    assert np.any(lo < hi) and np.any(lo == hi) and np.any(lo > hi)
+    # the same set embedded as (x, 0), with [0, 1) as the box in coordinate two
+    x2 = np.column_stack([x, np.zeros_like(x)])
+    lo2 = np.column_stack([lo, np.zeros_like(lo)])
+    hi2 = np.column_stack([hi, np.ones_like(hi)])
+    for corner, corner2 in ((None, None), (lo, lo2)):
+        fast = _count_in_boxes(x[:, None], None if corner is None else corner[:, None], hi[:, None])
+        mask = _count_in_boxes(x2, corner2, hi2)
+        assert fast.tolist() == mask.tolist() == _count_by_definition(x, corner, hi)
 
 
 def test_empty_box_at_point_coordinate():
