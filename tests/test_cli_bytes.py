@@ -39,6 +39,8 @@ CORPUS = {
     "compute-diaphony-d2": ("compute", "--kind", "diaphony", "--in", "{halton1100}"),
     "compute-star-pinf-csv": ("compute", "--kind", "star", "--p", "inf",
                               "--format", "csv", "--in", "{halton40}"),
+    "compute-extreme-pinf": ("compute", "--kind", "extreme", "--p", "inf",
+                             "--in", "{halton40}"),
     "compute-extreme-p1.5": ("compute", "--kind", "extreme", "--p", "1.5",
                              "--in", "{vdc300}"),
     "oracle-star-d1": ("oracle", "--kind", "star", "--p", "1", "--samples", "70000",
@@ -53,6 +55,9 @@ CORPUS = {
                           "--seed", "7", "--in", "{halton40}"),
     "oracle-periodic-d2": ("oracle", "--kind", "periodic", "--p", "2", "--samples", "70000",
                            "--seed", "8", "--in", "{halton40}"),
+    "oracle-extreme-d2-n1100": ("oracle", "--kind", "extreme", "--p", "1.5",
+                                "--samples", "70000", "--seed", "9",
+                                "--in", "{halton1100}"),
     "scan-star-json": ("scan", "--seq", "vdc", "--kind", "star", "--ns", "16..4096",
                        "--format", "json"),
     "scan-diaphony": ("scan", "--seq", "vdc", "--kind", "diaphony", "--ns", "16..4096"),
