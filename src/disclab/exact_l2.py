@@ -35,9 +35,11 @@ fixed, so results do not depend on evaluation order or available parallelism.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
+from .errors import GuardError
 from .pointsets import PointSet
 from .summation import KernelAccumulator, comp_sum, exact_ratio_parts
 
@@ -112,12 +114,15 @@ def _incremental_kernel(term):
     return block
 
 
-def _root(acc: KernelAccumulator, num: int, den: int) -> float:
-    """sqrt of the pair sum plus the rational constant num/den, the constant
-    entering as two doubles."""
-    chi, clo = exact_ratio_parts(num, den)
-    s, c = acc.parts
-    return math.sqrt(max(math.fsum((s, c, chi, clo)), 0.0))
+def _root(acc: KernelAccumulator, num: int, c: int, d: int) -> float:
+    """sqrt of the pair sum plus the rational constant num / c^d, the constant
+    entering as two doubles. Once c^-d is below the smallest normal double,
+    the pair-sum products have underflowed too, and a GuardError is raised."""
+    if float(c) ** -d < sys.float_info.min:
+        raise GuardError(f"closed form underflows at d={d}: {c}^-d is not a normal double")
+    chi, clo = exact_ratio_parts(num, c**d)
+    s, lo = acc.parts
+    return math.sqrt(max(math.fsum((s, lo, chi, clo)), 0.0))
 
 
 def star_l2(points: PointSet) -> float:
@@ -127,7 +132,7 @@ def star_l2(points: PointSet) -> float:
     n, d = x.shape
     g = np.prod((1.0 - x * x) / 2.0, axis=1)
     acc = _pair_sum(x, _product_kernel(lambda u, v: 1.0 - np.maximum.outer(u, v)), g)
-    return _root(acc, n * n, 3**d)
+    return _root(acc, n * n, 3, d)
 
 
 def extreme_l2(points: PointSet) -> float:
@@ -139,7 +144,7 @@ def extreme_l2(points: PointSet) -> float:
     acc = _pair_sum(
         x, _product_kernel(lambda u, v: np.minimum.outer(u, v) - np.outer(u, v)), g
     )
-    return _root(acc, n * n, 12**d)
+    return _root(acc, n * n, 12, d)
 
 
 def periodic_l2(points: PointSet) -> float:
@@ -150,7 +155,7 @@ def periodic_l2(points: PointSet) -> float:
     acc = _pair_sum(
         x, _product_kernel(lambda u, v: (1.0 / 3.0) + _bernoulli2(np.subtract.outer(u, v)))
     )
-    return _root(acc, -(n * n), 3**d)
+    return _root(acc, -(n * n), 3, d)
 
 
 def diaphony(points: PointSet) -> float:

@@ -189,13 +189,22 @@ def exact_lp_1d(points: PointSet, kind: str, p: float) -> float:
         raise ValueError("p must be finite and >= 1; use the linf operations for p=inf")
     if kind not in ("star", "extreme"):
         raise ValueError(f"kind must be 'star' or 'extreme', got {kind!r}")
-    x = points.coords[:, 0]
+    try:
+        total = _lp_1d_power_sum(points.coords[:, 0], kind, p)
+    except ArithmeticError:  # n**p, a numpy power or fsum left the double range
+        raise GuardError(f"exact {kind} L_{p:g} overflows a double at n={points.n}") from None
+    return total ** (1.0 / p)
+
+
+@np.errstate(over="raise", invalid="raise")
+def _lp_1d_power_sum(x: np.ndarray, kind: str, p: float) -> float:
+    """The integral of |D|^p behind `exact_lp_1d`, before the 1/p root."""
     n = x.size
     edges, a, _ = _cells(x)
     lo, hi = edges[:-1], edges[1:]
     if kind == "star":
         terms = (_phi1(a - n * lo, p) - _phi1(a - n * hi, p)) / n
-        return math.fsum(terms.tolist()) ** (1.0 / p)
+        return math.fsum(terms.tolist())
 
     widths = hi - lo
     m = lo.size
@@ -224,7 +233,7 @@ def exact_lp_1d(points: PointSet, kind: str, p: float) -> float:
             + piece(w4, -1.0, w_mid_hi, w4)
         )
         parts.append(math.fsum(t.tolist()))
-    return math.fsum(parts) ** (1.0 / p)
+    return math.fsum(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +342,17 @@ def _linf_small_2d(pts: np.ndarray, kind: str) -> float:
         return max(float(np.max(closed - vol)), float(np.max(vol - strict)), 0.0)
     iu2, iv2 = np.triu_indices(k2)
     width2 = c2[iv2] - c2[iu2]
+    # counts over every second-axis interval, per first-axis threshold row
+    closed_rows = cum[:, iv2 + 1] - cum[:, iu2]
+    opened_rows = cum[:, iv2] - cum[:, iu2 + 1]
     best = 0.0
     for a in range(k1):
-        for b in range(a, k1):
-            width1 = c1[b] - c1[a]
-            closed = (
-                cum[b + 1, iv2 + 1] - cum[a, iv2 + 1] - cum[b + 1, iu2] + cum[a, iu2]
-            )
-            opened = (
-                cum[b, iv2] - cum[a + 1, iv2] - cum[b, iu2 + 1] + cum[a + 1, iu2 + 1]
-            )
-            vol = n * width1 * width2
-            best = max(best, float(np.max(closed - vol)), float(np.max(vol - opened)))
+        # every b >= a at once; (n * width1) * width2 in the per-box order,
+        # so each candidate, and the max, is the same double
+        closed = closed_rows[a + 1 :] - closed_rows[a]
+        opened = opened_rows[a:k1] - opened_rows[a + 1]
+        vol = (n * (c1[a:] - c1[a]))[:, None] * width2
+        best = max(best, float(np.max(closed - vol)), float(np.max(vol - opened)))
     return best
 
 

@@ -184,6 +184,9 @@ class Estimate:
             raise ValueError("stderr must be present exactly for monte-carlo estimates")
 
 
+_MASK_CELLS = 1 << 18  # boxes x points per mask block: 256 KiB, cache-resident
+
+
 def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.ndarray:
     """Number of rows of x (n, d) inside each of m boxes with corner rows
     lo and hi (m, d).
@@ -191,7 +194,8 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
     Per coordinate a box is [lo, hi) when lo <= hi and the wrapped pair
     [0, hi) union [lo, 1) when lo > hi; lo None anchors every box at the
     origin. Boundaries are exact. In d = 1 the counts come from one sort and
-    binary searches, otherwise from an (m, n) membership mask.
+    binary searches, otherwise from a membership mask built in row blocks of
+    max(1, _MASK_CELLS // n) boxes, so memory stays bounded at any n.
     """
     n, d = x.shape
     if d == 1:
@@ -200,22 +204,24 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
         if lo is not None:
             cnt = cnt - np.searchsorted(xs, lo[:, 0]) + n * (lo[:, 0] > hi[:, 0])
         return cnt
-    inside = None
-    for j in range(d):
-        xj = x[:, j]
-        if lo is None:
-            m = xj < hi[:, j, None]
-        else:
-            # (x >= lo) xor (x >= hi) is [lo, hi) or its complement; the
-            # wrap flag picks the right one
-            m = xj >= lo[:, j, None]
-            m ^= xj >= hi[:, j, None]
-            m ^= (lo[:, j] > hi[:, j])[:, None]
-        if inside is None:
-            inside = m
-        else:
-            inside &= m
-    return inside.sum(axis=1)
+    rows = max(1, _MASK_CELLS // n)
+    out = np.empty(hi.shape[0], dtype=np.intp)
+    for r in range(0, hi.shape[0], rows):
+        inside = None
+        for j in range(d):
+            xj, hb = x[:, j], hi[r : r + rows, j, None]
+            if lo is None:
+                m = xj < hb
+            else:
+                lb = lo[r : r + rows, j, None]
+                # (x >= lo) xor (x >= hi) is [lo, hi) or its complement; the
+                # wrap flag picks the right one
+                m = xj >= lb
+                m ^= xj >= hb
+                m ^= lb > hb
+            inside = m if inside is None else np.logical_and(inside, m, out=inside)
+        out[r : r + rows] = inside.sum(axis=1)
+    return out
 
 
 def count_points(points: PointSet, box: Box | PeriodicBox) -> int:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from disclab import extreme_l2, read_points
+from disclab import extreme_l2, random_point_set, read_points, write_points
 
 
 def run_cli(*args, env=None):
@@ -184,3 +184,17 @@ def test_compute_rejects_nonexact_combination(tmp_path):
     r = run_cli("compute", "--kind", "star", "--p", "3", "--in", str(f))
     assert r.returncode == 1
     assert "oracle" in r.stderr
+
+
+def test_compute_overflow_and_underflow_are_domain_errors(tmp_path):
+    vdc = tmp_path / "vdc.csv"
+    run_cli("gen", "--kind", "vdc", "--n", "200", "--out", str(vdc))
+    wide = tmp_path / "wide.csv"
+    with open(wide, "w", encoding="utf-8") as fh:
+        write_points(random_point_set(5, 400, 1), fh)
+    for argv in (("--kind", "extreme", "--p", "300", "--in", str(vdc)),
+                 ("--kind", "extreme", "--p", "2", "--in", str(wide))):
+        r = run_cli("compute", *argv)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("disclab: error:") and "Traceback" not in r.stderr
+        assert r.stdout == ""

@@ -31,7 +31,8 @@ INPUTS = {
     "halton1100": ("gen", "--kind", "halton", "--bases", "2,3", "--n", "1100"),
 }
 
-# Oracle sample counts above 65536 span two Monte Carlo chunks.
+# Oracle sample counts above 65536 span two Monte Carlo chunks; on halton1100
+# the d=2 box count's row blocks (238 boxes) do not divide a chunk.
 CORPUS = {
     "compute-star-d2": ("compute", "--kind", "star", "--in", "{halton1100}"),
     "compute-extreme-d2": ("compute", "--kind", "extreme", "--in", "{halton1100}"),

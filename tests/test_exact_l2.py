@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclab import (
+    GuardError,
     McConfig,
     PointSet,
     VanDerCorput,
@@ -213,3 +214,18 @@ def test_truncated_diaphony_brackets_closed_form():
 def test_truncated_diaphony_cutoff_guard():
     with pytest.raises(ValueError):
         diaphony_truncated(pset([[0.1]]), 0)
+
+
+def test_closed_forms_refuse_underflowing_dimensions():
+    # 12^-d is subnormal from d = 286 and 3^-d from d = 645; there the
+    # per-point and pair-sum products underflow as well, and d = 400 used to
+    # give an extreme value of exactly 0.0
+    with pytest.raises(GuardError, match="d=400"):
+        extreme_l2(random_point_set(5, 400, 1))
+    with pytest.raises(GuardError):
+        extreme_l2(random_point_set(5, 286, 1))
+    assert extreme_l2(random_point_set(5, 285, 1)) > 0.0
+    for fn in (star_l2, periodic_l2):
+        with pytest.raises(GuardError):
+            fn(random_point_set(5, 645, 1))
+        assert fn(random_point_set(5, 644, 1)) > 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,24 @@ def test_mc_independent_of_thread_count():
     one = mc_lp(p, McConfig("extreme", 2.0, 200_000, 9, threads=1))
     four = mc_lp(p, McConfig("extreme", 2.0, 200_000, 9, threads=4))
     assert (one.value, one.stderr) == (four.value, four.stderr)
+    # n = 3000 gives mask row blocks of 87 boxes, which do not divide a chunk
+    p = random_point_set(3000, 2, 7)
+    one = mc_lp(p, McConfig("periodic", 1.5, (1 << 16) + 1000, 10, threads=1))
+    two = mc_lp(p, McConfig("periodic", 1.5, (1 << 16) + 1000, 10, threads=2))
+    assert (one.value, one.stderr) == (two.value, two.stderr)
+
+
+def test_mc_chunk_memory_is_bounded_in_n():
+    # the d >= 2 membership mask is built in row blocks of a fixed cell
+    # budget; one 65536 x 2048 mask alone would take 128 MiB
+    p = random_point_set(2048, 2, 8)
+    tracemalloc.start()
+    try:
+        mc_lp(p, McConfig("extreme", 1.5, 1 << 16, 1, threads=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_mc_stderr_halves_when_samples_double():
@@ -158,6 +177,17 @@ def test_exact_lp_1d_guards():
         exact_lp_1d(pset([[0.5]]), "anchored", 2.0)
 
 
+def test_exact_lp_1d_overflow_is_guard_error():
+    # n**p leaves the double range for the extreme kind, |D|^(p+1) for star
+    p = prefix(VanDerCorput(), 200)
+    with pytest.raises(GuardError, match="overflows"):
+        exact_lp_1d(p, "extreme", 300.0)
+    with pytest.raises(GuardError, match="overflows"):
+        exact_lp_1d(p, "star", 2000.0)
+    assert math.isfinite(exact_lp_1d(p, "star", 300.0))
+    assert math.isfinite(exact_lp_1d(p, "extreme", 100.0))
+
+
 # ---------------------------------------------------------------------------
 # exact suprema
 # ---------------------------------------------------------------------------
@@ -238,6 +268,31 @@ def test_linf_small_sandwich_d2():
     s = linf_exact_small(p, "star")
     e = linf_exact_small(p, "extreme")
     assert s <= e + 1e-12 <= 4.0 * s + 1e-12
+
+
+def test_linf_small_d2_extreme_matches_box_by_box_enumeration():
+    # one first-axis interval [c1[a], c1[b]] at a time, as in the definition of
+    # the candidate set; the batched evaluation must give the same double
+    def box_by_box(pts):
+        n = pts.shape[0]
+        c1 = np.unique(np.concatenate(([0.0], pts[:, 0], [1.0])))
+        c2 = np.unique(np.concatenate(([0.0], pts[:, 1], [1.0])))
+        hist = np.zeros((c1.size + 1, c2.size + 1))
+        np.add.at(hist, (np.searchsorted(c1, pts[:, 0]) + 1, np.searchsorted(c2, pts[:, 1]) + 1), 1)
+        cum = hist.cumsum(axis=0).cumsum(axis=1)
+        iu, iv = np.triu_indices(c2.size)
+        best = 0.0
+        for a in range(c1.size):
+            for b in range(a, c1.size):
+                closed = cum[b + 1, iv + 1] - cum[a, iv + 1] - cum[b + 1, iu] + cum[a, iu]
+                opened = cum[b, iv] - cum[a + 1, iv] - cum[b, iu + 1] + cum[a + 1, iu + 1]
+                vol = n * (c1[b] - c1[a]) * (c2[iv] - c2[iu])
+                best = max(best, float(np.max(closed - vol)), float(np.max(vol - opened)))
+        return best
+
+    grid = np.random.default_rng(3).integers(0, 8, size=(20, 2)) / 8  # ties, zeros
+    for p in (random_point_set(1, 2, 1), random_point_set(17, 2, 2), pset(grid)):
+        assert linf_exact_small(p, "extreme") == box_by_box(p.coords)
 
 
 def test_linf_small_guards():

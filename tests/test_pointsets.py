@@ -18,6 +18,7 @@ from disclab import (
     star_l2,
     write_points,
 )
+from disclab import pointsets
 from disclab.pointsets import _count_in_boxes
 
 # dyadic coordinates are exactly representable, which keeps expected values exact
@@ -127,20 +128,26 @@ def test_count_monotone_under_box_inclusion(rows, a, b, c):
 
 
 def _count_by_definition(x, lo, hi):
-    """Per point and box: x < hi when anchored, lo <= x < hi when lo <= hi,
-    x < hi or x >= lo when the box wraps."""
-    out = []
-    for b in range(hi.size):
+    """Per point, box and coordinate: x < hi when anchored, lo <= x < hi when
+    lo <= hi, x < hi or x >= lo when the box wraps; x and the corners are
+    1-d (d = 1) or have one row per point or box."""
+    x, hi = x.reshape(len(x), -1), hi.reshape(len(hi), -1)
+    lo = None if lo is None else lo.reshape(hi.shape)
+
+    def inside(v, b, j):
         if lo is None:
-            out.append(sum(v < hi[b] for v in x))
-        elif lo[b] <= hi[b]:
-            out.append(sum(lo[b] <= v < hi[b] for v in x))
-        else:
-            out.append(sum(v < hi[b] or v >= lo[b] for v in x))
-    return out
+            return v < hi[b, j]
+        if lo[b, j] <= hi[b, j]:
+            return lo[b, j] <= v < hi[b, j]
+        return v < hi[b, j] or v >= lo[b, j]
+
+    return [
+        sum(all(inside(v[j], b, j) for j in range(x.shape[1])) for v in x)
+        for b in range(hi.shape[0])
+    ]
 
 
-def test_box_count_d1_fast_path_matches_mask_path_on_box_corners():
+def test_box_count_d1_fast_path_matches_mask_path_on_box_corners(monkeypatch):
     # dyadic points, duplicates included, on a grid that also holds every
     # box corner: each boundary rule is exercised exactly
     x = np.array([0, 1, 1, 3, 4, 4, 7, 5]) / 8
@@ -155,6 +162,21 @@ def test_box_count_d1_fast_path_matches_mask_path_on_box_corners():
         fast = _count_in_boxes(x[:, None], None if corner is None else corner[:, None], hi[:, None])
         mask = _count_in_boxes(x2, corner2, hi2)
         assert fast.tolist() == mask.tolist() == _count_by_definition(x, corner, hi)
+    # a genuine d = 2 batch: the second coordinate pairs every corner pair with
+    # another one, so anchored, ordered, empty and wrapped boxes mix across
+    # coordinates; with a budget of 80 mask cells the 81 boxes fall into row
+    # blocks of 10, the last one holding a single box
+    xy = np.column_stack([x, x[::-1]])
+    lo_b = np.column_stack([lo, np.roll(lo, 7)])
+    hi_b = np.column_stack([hi, np.roll(hi, 7)])
+    assert np.any(lo_b[:, 0] > hi_b[:, 0]) and np.any(lo_b[:, 1] > hi_b[:, 1])
+    for corner in (None, lo_b):
+        want = _count_by_definition(xy, corner, hi_b)
+        assert _count_in_boxes(xy, corner, hi_b).tolist() == want
+        with monkeypatch.context() as mp:
+            mp.setattr(pointsets, "_MASK_CELLS", 80)
+            assert hi_b.shape[0] % (pointsets._MASK_CELLS // xy.shape[0]) != 0
+            assert _count_in_boxes(xy, corner, hi_b).tolist() == want
 
 
 def test_empty_box_at_point_coordinate():
