@@ -24,11 +24,13 @@ from disclab.cli import main
 DATA = Path(__file__).parent / "data" / "cli_bytes.json"
 
 # Input files, written by `disclab gen`. halton1100 spans two pair-sum blocks
-# of 1024 rows; halton40 is small enough for the exact d=2 supremum.
+# of 1024 rows; halton40 is small enough for the exact d=2 supremum;
+# halton100d3 gives the Monte Carlo oracle a d=3 set.
 INPUTS = {
     "vdc300": ("gen", "--kind", "vdc", "--n", "300"),
     "halton40": ("gen", "--kind", "halton", "--bases", "2,3", "--n", "40"),
     "halton1100": ("gen", "--kind", "halton", "--bases", "2,3", "--n", "1100"),
+    "halton100d3": ("gen", "--kind", "halton", "--bases", "2,3,5", "--n", "100"),
 }
 
 # Oracle sample counts above 65536 span two Monte Carlo chunks; on halton1100
@@ -59,6 +61,9 @@ CORPUS = {
     "oracle-extreme-d2-n1100": ("oracle", "--kind", "extreme", "--p", "1.5",
                                 "--samples", "70000", "--seed", "9",
                                 "--in", "{halton1100}"),
+    "oracle-periodic-d3": ("oracle", "--kind", "periodic", "--p", "1.5",
+                           "--samples", "70000", "--seed", "10",
+                           "--in", "{halton100d3}"),
     "scan-star-json": ("scan", "--seq", "vdc", "--kind", "star", "--ns", "16..4096",
                        "--format", "json"),
     "scan-diaphony": ("scan", "--seq", "vdc", "--kind", "diaphony", "--ns", "16..4096"),
