@@ -39,11 +39,13 @@ from .pointsets import (
     write_points,
 )
 from .rng import DEFAULT_SEED
-from .sequences import Halton, VanDerCorput, lift, prefix
+from .sequences import MAX_INDEX, Halton, VanDerCorput, lift, prefix
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 VERDICT_FAILED = 3
+
+_MAX_NS = 1 << 20  # steps of one --ns range schedule
 
 
 def _fmt(x) -> str:
@@ -98,7 +100,8 @@ def _make_generator(family: str, base: int, bases: str) -> VanDerCorput | Halton
 
 def _parse_ns(text: str) -> list[int]:
     """Grammar: 'a..b:geometric[:factor]' (factor default 2),
-    'a..b:linear[:step]', or a comma list of integers."""
+    'a..b:linear[:step]', or a comma list of integers. A range lies in
+    [1, 2^53) and spans at most _MAX_NS steps."""
     if ".." in text:
         rng, _, sched = text.partition(":")
         a_s, _, b_s = rng.partition("..")
@@ -106,18 +109,32 @@ def _parse_ns(text: str) -> list[int]:
             a, b = int(a_s), int(b_s)
         except ValueError:
             raise DisclabError(f"bad range in --ns: {text!r}") from None
+        if a < 1 or b >= MAX_INDEX:
+            raise DisclabError(f"--ns range must lie in [1, 2^53): {text!r}")
         name, _, par = sched.partition(":")
         if name in ("", "geometric"):
-            factor = float(par) if par else 2.0
-            if factor <= 1.0:
-                raise DisclabError("geometric factor must be > 1")
+            try:
+                factor = float(par) if par else 2.0
+            except ValueError:
+                raise DisclabError(f"bad geometric factor in --ns: {text!r}") from None
+            if not 1.0 < factor < math.inf:
+                raise DisclabError("geometric factor must be finite and > 1")
+            if b > a and math.log(b / a) > _MAX_NS * math.log(factor):
+                raise DisclabError(f"--ns schedule takes more than {_MAX_NS} steps")
             out, x = [], float(a)
             while round(x) <= b:
                 out.append(int(round(x)))
                 x *= factor
             return sorted(set(out))
         if name == "linear":
-            step = int(par) if par else max(1, (b - a) // 32)
+            try:
+                step = int(par) if par else max(1, (b - a) // 32)
+            except ValueError:
+                raise DisclabError(f"bad linear step in --ns: {text!r}") from None
+            if step < 1:
+                raise DisclabError("linear step must be >= 1")
+            if (b - a) // step >= _MAX_NS:
+                raise DisclabError(f"--ns schedule takes more than {_MAX_NS} steps")
             return list(range(a, b + 1, step))
         raise DisclabError(f"unknown schedule {name!r} in --ns")
     try:
@@ -133,7 +150,7 @@ def _parse_p(text: str) -> float:
         p = float(text)
     except ValueError:
         raise DisclabError(f"bad --p value {text!r}") from None
-    if p < 1.0:
+    if not p >= 1.0:  # also rejects nan
         raise DisclabError("p must satisfy p >= 1")
     return p
 
@@ -352,7 +369,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (DisclabError, ValueError, FileNotFoundError) as exc:
+    except (DisclabError, ValueError, OSError) as exc:
         print(f"disclab: error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
 

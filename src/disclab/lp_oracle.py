@@ -77,6 +77,7 @@ def _thread_count(requested: int) -> int:
     return min(os.cpu_count() or 1, 8)
 
 
+@np.errstate(over="raise", invalid="raise")
 def _chunk_moments(pts: np.ndarray, cfg: McConfig, start_sample: int, count: int):
     """(sum y, sum y^2) of the integrand over samples start..start+count-1.
 
@@ -122,13 +123,18 @@ def mc_lp(points: PointSet, cfg: McConfig) -> Estimate:
     starts = list(range(0, cfg.samples, _CHUNK))
     jobs = [(s, min(_CHUNK, cfg.samples - s)) for s in starts]
     workers = _thread_count(cfg.threads)
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda j: _chunk_moments(pts, cfg, *j), jobs))
-    else:
-        results = [_chunk_moments(pts, cfg, *j) for j in jobs]
-    mean = math.fsum(r[0] for r in results) / cfg.samples
-    mean_sq = math.fsum(r[1] for r in results) / cfg.samples
+    try:
+        if workers > 1 and len(jobs) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as ex:
+                results = list(ex.map(lambda j: _chunk_moments(pts, cfg, *j), jobs))
+        else:
+            results = [_chunk_moments(pts, cfg, *j) for j in jobs]
+        mean = math.fsum(r[0] for r in results) / cfg.samples
+        mean_sq = math.fsum(r[1] for r in results) / cfg.samples
+    except ArithmeticError:  # |D|^p, its square or a sum left the double range
+        raise GuardError(
+            f"Monte Carlo {cfg.kind} L_{cfg.p:g} overflows a double at n={n}"
+        ) from None
     value = mean ** (1.0 / cfg.p)
     stderr = 0.0
     if cfg.samples >= _MIN_SAMPLES_FOR_STDERR and mean > 0.0:

@@ -184,7 +184,23 @@ class Estimate:
             raise ValueError("stderr must be present exactly for monte-carlo estimates")
 
 
-_MASK_CELLS = 1 << 18  # boxes x points per mask block: 256 KiB, cache-resident
+# Points per group of bitset tables (fewer in high d, so one group's d tables
+# stay near _TABLE_WORDS uint64 words), and uint64 words per box row block.
+_POINT_GROUP = 1 << 12
+_TABLE_WORDS = 1 << 20
+_BLOCK_WORDS = 1 << 15
+
+
+def _prefix_sets(xj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted xj and the (n + 1, ceil(n / 64)) uint64 table whose row r is
+    the bitset of the r smallest points, so row searchsorted(sorted, t) is
+    the set {i : xj[i] < t}, ties never split."""
+    n = xj.size
+    order = np.argsort(xj, kind="stable")
+    table = np.zeros((n + 1, -(-n // 64)), dtype=np.uint64)
+    table[np.arange(1, n + 1), order >> 6] = np.uint64(1) << (order & 63).astype(np.uint64)
+    np.bitwise_or.accumulate(table, axis=0, out=table)
+    return xj[order], table
 
 
 def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.ndarray:
@@ -193,9 +209,14 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
 
     Per coordinate a box is [lo, hi) when lo <= hi and the wrapped pair
     [0, hi) union [lo, 1) when lo > hi; lo None anchors every box at the
-    origin. Boundaries are exact. In d = 1 the counts come from one sort and
-    binary searches, otherwise from a membership mask built in row blocks of
-    max(1, _MASK_CELLS // n) boxes, so memory stays bounded at any n.
+    origin. Boundaries are exact: a corner t maps to its rank, the number of
+    points with x_j < t, by binary search in the sorted coordinate. In d = 1
+    the counts are rank differences. Otherwise a rank r picks row r of a
+    prefix bitset table per coordinate, [lo, hi) is the xor of two rows (and
+    of the full row where it wraps), and the count is the popcount of the
+    and over coordinates. Points go in groups of at most _POINT_GROUP, each
+    with its own tables, and boxes in row blocks of _BLOCK_WORDS words, so
+    memory stays bounded at any n.
     """
     n, d = x.shape
     if d == 1:
@@ -204,23 +225,23 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
         if lo is not None:
             cnt = cnt - np.searchsorted(xs, lo[:, 0]) + n * (lo[:, 0] > hi[:, 0])
         return cnt
-    rows = max(1, _MASK_CELLS // n)
-    out = np.empty(hi.shape[0], dtype=np.intp)
-    for r in range(0, hi.shape[0], rows):
-        inside = None
-        for j in range(d):
-            xj, hb = x[:, j], hi[r : r + rows, j, None]
-            if lo is None:
-                m = xj < hb
-            else:
-                lb = lo[r : r + rows, j, None]
-                # (x >= lo) xor (x >= hi) is [lo, hi) or its complement; the
-                # wrap flag picks the right one
-                m = xj >= lb
-                m ^= xj >= hb
-                m ^= lb > hb
-            inside = m if inside is None else np.logical_and(inside, m, out=inside)
-        out[r : r + rows] = inside.sum(axis=1)
+    m = hi.shape[0]
+    out = np.zeros(m, dtype=np.intp)
+    group = min(_POINT_GROUP, 64 * max(1, math.isqrt(_TABLE_WORDS // (64 * d))))
+    for g in range(0, n, group):
+        tables = [_prefix_sets(x[g : g + group, j]) for j in range(d)]
+        rows = max(1, _BLOCK_WORDS // tables[0][1].shape[1])
+        for r in range(0, m, rows):
+            inside = None
+            for j, (xs, table) in enumerate(tables):
+                hb = hi[r : r + rows, j]
+                s = table[np.searchsorted(xs, hb)]
+                if lo is not None:
+                    lb = lo[r : r + rows, j]
+                    s ^= table[np.searchsorted(xs, lb)]
+                    np.bitwise_xor(s, table[-1], out=s, where=(lb > hb)[:, None])
+                inside = s if inside is None else np.bitwise_and(inside, s, out=inside)
+            out[r : r + rows] += np.bitwise_count(inside).sum(axis=1, dtype=np.intp)
     return out
 
 

@@ -29,14 +29,21 @@ def radical_inverse(k: int, base: int) -> float:
     k = sum a_i b^i maps to sum a_i b^(-i-1), always in [0, 1). Exact in
     float64 whenever the base is a power of two and k < 2^53.
     """
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if not 0 <= k < MAX_INDEX:
-        raise ValueError(f"index must lie in [0, 2^53), got {k}")
+    return float(radical_inverses(np.array([k]), base)[0])
+
+
+def radical_inverses(k: np.ndarray, base: int) -> np.ndarray:
+    """`radical_inverse` of every index in the integer array k, digit by
+    digit over the whole array in the same order, so each value is the same
+    double."""
+    if not 2 <= base < 1 << 63:
+        raise ValueError(f"base must lie in [2, 2^63), got {base}")
+    if k.size and not (0 <= k.min() and k.max() < MAX_INDEX):
+        raise ValueError("indices must lie in [0, 2^53)")
     inv = 1.0 / base
-    r, scale = 0.0, inv
-    while k:
-        k, digit = divmod(k, base)
+    r, scale = np.zeros(k.shape), inv
+    while k.any():
+        k, digit = np.divmod(k, base)
         r += digit * scale
         scale *= inv
     return r
@@ -59,6 +66,10 @@ class VanDerCorput:
     @property
     def name(self) -> str:
         return f"vdc(base={self.base})"
+
+    @property
+    def bases(self) -> tuple[int, ...]:
+        return (self.base,)
 
     def term(self, k: int) -> tuple[float, ...]:
         return (radical_inverse(k, self.base),)
@@ -104,8 +115,8 @@ def prefix(gen: SequenceGen, n: int) -> PointSet:
     """Point set of the first n terms, in generator order."""
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
-    rows = np.array([gen.term(k) for k in range(n)], dtype=np.float64)
-    return PointSet(rows.reshape(n, gen.d))
+    k = np.arange(n)
+    return PointSet(np.column_stack([radical_inverses(k, b) for b in gen.bases]))
 
 
 def lift(source: SequenceGen | PointSet, n: int) -> PointSet:

@@ -137,6 +137,35 @@ def test_scan_empty_schedule_is_domain_error(ns):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "ns",
+    ["0..4", "-3..8:geometric", "2..64:geometric:inf", "2..64:geometric:nan",
+     "2..64:geometric:1.0000000001", "2..64:geometric:x", "2..64:linear:0",
+     "2..64:linear:x", "1..99999999999999999999"],
+)
+def test_scan_bad_schedule_is_domain_error(ns):
+    # each of these once looped forever, ended in a traceback or printed a
+    # bare range() or float() message
+    r = subprocess.run(
+        [sys.executable, "-m", "disclab.cli", "scan", f"--ns={ns}"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("disclab: error:") and "Traceback" not in r.stderr
+    assert "--ns" in r.stderr or "factor" in r.stderr or "step" in r.stderr
+
+
+def test_oracle_overflow_is_domain_error(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_text("0.5\n0.25\n")
+    r = run_cli("oracle", "--kind", "periodic", "--p", "1e308", "--samples", "100",
+                "--in", str(f))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("disclab: error:") and "overflows" in r.stderr
+    assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+
+
 def test_verify_lemma1_exit_zero(tmp_path):
     out = tmp_path / "rep.json"
     r = run_cli("verify", "--suite", "lemma1", "--seq", "vdc", "--n", "64",

@@ -63,24 +63,47 @@ def test_mc_independent_of_thread_count():
     one = mc_lp(p, McConfig("extreme", 2.0, 200_000, 9, threads=1))
     four = mc_lp(p, McConfig("extreme", 2.0, 200_000, 9, threads=4))
     assert (one.value, one.stderr) == (four.value, four.stderr)
-    # n = 3000 gives mask row blocks of 87 boxes, which do not divide a chunk
+    # n = 3000 gives bitset row blocks of 697 boxes, which do not divide a chunk
     p = random_point_set(3000, 2, 7)
     one = mc_lp(p, McConfig("periodic", 1.5, (1 << 16) + 1000, 10, threads=1))
     two = mc_lp(p, McConfig("periodic", 1.5, (1 << 16) + 1000, 10, threads=2))
     assert (one.value, one.stderr) == (two.value, two.stderr)
 
 
-def test_mc_chunk_memory_is_bounded_in_n():
-    # the d >= 2 membership mask is built in row blocks of a fixed cell
-    # budget; one 65536 x 2048 mask alone would take 128 MiB
-    p = random_point_set(2048, 2, 8)
+def _chunk_peak_bytes(n: int) -> int:
+    p = random_point_set(n, 2, 8)
     tracemalloc.start()
     try:
         mc_lp(p, McConfig("extreme", 1.5, 1 << 16, 1, threads=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_mc_chunk_memory_is_bounded_in_n():
+    # d >= 2 boxes are counted on bitset tables of at most 2^12 points at a
+    # time, in row blocks of a fixed word budget; a 65536 x 2048 boolean mask
+    # alone would take 128 MiB
+    peak = _chunk_peak_bytes(2048)
     assert peak < 32 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_mc_chunk_memory_is_bounded_at_n_2_14():
+    # four point groups; one 65536 x 2^14 boolean mask would take 1 GiB
+    peak = _chunk_peak_bytes(1 << 14)
+    assert peak < 32 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_mc_overflow_is_guard_error():
+    # |D|^p leaves the double range; the estimate must not print inf or nan
+    p = prefix(VanDerCorput(), 50)
+    with pytest.raises(GuardError, match="overflows"):
+        mc_lp(p, McConfig("periodic", 1e308, 100, 1))
+    with pytest.raises(GuardError, match="overflows"):
+        mc_lp(random_point_set(50, 2, 3), McConfig("extreme", 400.0, 70_000, 1, threads=2))
+    est = mc_lp(p, McConfig("star", 150.0, 100, 1))
+    assert math.isfinite(est.value) and math.isfinite(est.stderr)
 
 
 def test_mc_stderr_halves_when_samples_double():

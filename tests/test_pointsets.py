@@ -160,12 +160,13 @@ def test_box_count_d1_fast_path_matches_mask_path_on_box_corners(monkeypatch):
     hi2 = np.column_stack([hi, np.ones_like(hi)])
     for corner, corner2 in ((None, None), (lo, lo2)):
         fast = _count_in_boxes(x[:, None], None if corner is None else corner[:, None], hi[:, None])
-        mask = _count_in_boxes(x2, corner2, hi2)
-        assert fast.tolist() == mask.tolist() == _count_by_definition(x, corner, hi)
+        bitset = _count_in_boxes(x2, corner2, hi2)
+        assert fast.tolist() == bitset.tolist() == _count_by_definition(x, corner, hi)
     # a genuine d = 2 batch: the second coordinate pairs every corner pair with
     # another one, so anchored, ordered, empty and wrapped boxes mix across
-    # coordinates; with a budget of 80 mask cells the 81 boxes fall into row
-    # blocks of 10, the last one holding a single box
+    # coordinates; with a budget of 10 words (one word per box here) the 81
+    # boxes fall into row blocks of 10, the last one holding a single box,
+    # and groups of 3 points split the 8 points 3, 3, 2
     xy = np.column_stack([x, x[::-1]])
     lo_b = np.column_stack([lo, np.roll(lo, 7)])
     hi_b = np.column_stack([hi, np.roll(hi, 7)])
@@ -174,9 +175,37 @@ def test_box_count_d1_fast_path_matches_mask_path_on_box_corners(monkeypatch):
         want = _count_by_definition(xy, corner, hi_b)
         assert _count_in_boxes(xy, corner, hi_b).tolist() == want
         with monkeypatch.context() as mp:
-            mp.setattr(pointsets, "_MASK_CELLS", 80)
-            assert hi_b.shape[0] % (pointsets._MASK_CELLS // xy.shape[0]) != 0
+            mp.setattr(pointsets, "_BLOCK_WORDS", 10)
+            mp.setattr(pointsets, "_POINT_GROUP", 3)
+            assert hi_b.shape[0] % pointsets._BLOCK_WORDS != 0
+            assert xy.shape[0] % pointsets._POINT_GROUP != 0
             assert _count_in_boxes(xy, corner, hi_b).tolist() == want
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {},  # one group of 150 points: 3 words, the last one with padding bits
+        {"_POINT_GROUP": 64, "_BLOCK_WORDS": 7},  # groups 64, 64, 22; blocks 7 x 5 + 5
+        {"_TABLE_WORDS": 1, "_BLOCK_WORDS": 3},  # the table budget alone caps a group at 64
+    ],
+)
+def test_bitset_box_count_matches_definition(monkeypatch, d, limits):
+    # coordinates and corners on a grid of sixteenths: duplicate coordinates,
+    # corners on point coordinates and at 0 and 1, and boxes that are empty
+    # (lo == hi), ordered or wrapped, with wraps in every coordinate
+    rng = np.random.default_rng(d)
+    x = rng.integers(0, 16, (150, d)) / 16
+    a = rng.integers(0, 17, (40, d)) / 16
+    b = rng.integers(0, 17, (40, d)) / 16
+    b[:4, d - 1] = a[:4, d - 1]
+    assert np.all(np.any(a > b, axis=0)) and np.any(a == b)
+    for k, v in limits.items():
+        monkeypatch.setattr(pointsets, k, v)
+    for lo, hi in ((None, a), (np.minimum(a, b), np.maximum(a, b)), (a, b)):
+        got = _count_in_boxes(x, lo, hi)
+        assert got.tolist() == _count_by_definition(x, lo, hi)
 
 
 def test_empty_box_at_point_coordinate():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclab import Halton, VanDerCorput, lift, prefix, radical_inverse
+from disclab.sequences import radical_inverses
 
 
 def test_radical_inverse_examples():
@@ -50,6 +51,41 @@ def test_halton_prefix():
     assert p.coords[0].tolist() == [0.0, 0.0]
     assert p.coords[1, 0] == 0.5
     assert p.coords[1, 1] == pytest.approx(1.0 / 3.0)
+
+
+def _radical_inverse_digit_loop(k: int, base: int) -> float:
+    """Python-int digit loop: r += digit * scale; scale *= 1 / base."""
+    inv = 1.0 / base
+    r, scale = 0.0, inv
+    while k:
+        k, digit = divmod(k, base)
+        r += digit * scale
+        scale *= inv
+    return r
+
+
+@pytest.mark.parametrize(
+    "gen", [VanDerCorput(2), VanDerCorput(3), VanDerCorput(7), Halton((2, 3)),
+            Halton((2, 3, 5, 7, 11))], ids=lambda g: g.name,
+)
+def test_prefix_is_the_digit_loop_bit_for_bit(gen):
+    n = 3000
+    want = [[_radical_inverse_digit_loop(k, b) for b in gen.bases] for k in range(n)]
+    got = prefix(gen, n).coords
+    assert got.tobytes() == np.array(want).tobytes()
+    assert [gen.term(k) for k in (0, 1, 2999)] == [tuple(got[k]) for k in (0, 1, 2999)]
+
+
+def test_radical_inverses_bit_for_bit_at_large_indices():
+    k = np.array([2**53 - 1, 2**40 + 12345, 10**15, 0, 1])
+    for b in (2, 3, 7, 1_000_003, 2**62 + 1):
+        want = [_radical_inverse_digit_loop(int(i), b) for i in k]
+        assert radical_inverses(k, b).tolist() == want
+        assert [radical_inverse(int(i), b) for i in k] == want
+    with pytest.raises(ValueError):
+        radical_inverses(np.array([0, 2**53]), 2)
+    with pytest.raises(ValueError):
+        radical_inverses(k, 2**63)
 
 
 def test_halton_requires_coprime_bases():
