@@ -46,6 +46,9 @@ CORPUS = {
                              "--in", "{halton40}"),
     "compute-extreme-p1.5": ("compute", "--kind", "extreme", "--p", "1.5",
                              "--in", "{vdc300}"),
+    "compute-star-p1.5": ("compute", "--kind", "star", "--p", "1.5", "--in", "{vdc300}"),
+    "compute-extreme-pinf-d1": ("compute", "--kind", "extreme", "--p", "inf",
+                                "--in", "{vdc300}"),
     "oracle-star-d1": ("oracle", "--kind", "star", "--p", "1", "--samples", "70000",
                        "--seed", "3", "--in", "{vdc300}"),
     "oracle-extreme-d1": ("oracle", "--kind", "extreme", "--p", "1.5", "--samples", "70000",
@@ -69,9 +72,13 @@ CORPUS = {
     "scan-diaphony": ("scan", "--seq", "vdc", "--kind", "diaphony", "--ns", "16..4096"),
     "scan-extreme-p1.5": ("scan", "--seq", "vdc", "--kind", "extreme", "--p", "1.5",
                           "--ns", "16..512"),
+    "scan-extreme-d2": ("scan", "--seq", "halton", "--kind", "extreme", "--ns", "16..256"),
+    "scan-periodic-d2-p1.5": ("scan", "--seq", "halton", "--kind", "periodic", "--p", "1.5",
+                              "--samples", "2000", "--ns", "16..64"),
     "verify-inequalities": ("verify", "--suite", "inequalities", "--trials", "5",
                             "--n", "16"),
     "verify-lemma1": ("verify", "--suite", "lemma1", "--seq", "halton", "--n", "64"),
+    "verify-lemma1-vdc": ("verify", "--suite", "lemma1", "--seq", "vdc", "--n", "64"),
     "verify-vdc-constant": ("verify", "--suite", "vdc-constant", "--max-n", "1024"),
     "verify-growth": ("verify", "--suite", "growth", "--max-n", "4096"),
 }
