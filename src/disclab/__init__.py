@@ -27,6 +27,7 @@ from .experiments import (
 )
 from .lp_oracle import (
     McConfig,
+    estimate,
     exact_lp_1d,
     linf_exact_small,
     linf_extreme_1d,
@@ -71,6 +72,7 @@ __all__ = [
     "diaphony",
     "diaphony_scan",
     "diaphony_truncated",
+    "estimate",
     "exact_lp_1d",
     "extreme_l2",
     "fit_log_exponent",

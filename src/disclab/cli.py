@@ -6,8 +6,9 @@ All floating-point output is printed with 17 significant digits and every
 random quantity is driven by an explicit or default seed, so identical
 invocations produce byte-identical output. DISCLAB_THREADS (or --threads)
 caps worker threads for Monte Carlo sampling; results do not depend on the
-cap. Exit codes: 0 success, 1 domain error, 2 usage error, 3 a verification
-verdict failed.
+cap. `compute` and `scan` take their evaluator from `lp_oracle.estimate`;
+the diaphony is defined at p = 2 only. Exit codes: 0 success, 1 domain
+error, 2 usage error, 3 a verification verdict failed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sys
 from typing import Sequence
 
 from .errors import DisclabError
-from .exact_l2 import diaphony, extreme_l2, periodic_l2, star_l2
 from .experiments import (
     fit_log_exponent,
     growth_scan,
@@ -29,15 +29,8 @@ from .experiments import (
     vdc_exponent_report,
     vdc_star_constant,
 )
-from .lp_oracle import McConfig, exact_lp_1d, linf_estimate, mc_lp
-from .pointsets import (
-    METHOD_CLOSED_FORM,
-    METHOD_PIECEWISE,
-    Estimate,
-    PointSet,
-    read_points,
-    write_points,
-)
+from .lp_oracle import McConfig, estimate, mc_lp
+from .pointsets import Estimate, PointSet, read_points, write_points
 from .rng import DEFAULT_SEED
 from .sequences import MAX_INDEX, Halton, VanDerCorput, lift, prefix
 
@@ -186,26 +179,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_compute(args) -> int:
     pts = _load_points(args)
-    p = _parse_p(args.p)
-    kind = args.kind
-    if math.isinf(p):
-        if kind not in ("star", "extreme"):
-            raise DisclabError("p=inf supports kinds star and extreme only")
-        est = linf_estimate(pts, kind)
-    elif kind == "diaphony":
-        if p != 2.0:
-            raise DisclabError("diaphony is a quadratic quantity; use --p 2")
-        est = Estimate(kind, 2.0, diaphony(pts), METHOD_CLOSED_FORM, pts.n, pts.d)
-    elif p == 2.0:
-        fn = {"star": star_l2, "extreme": extreme_l2, "periodic": periodic_l2}[kind]
-        est = Estimate(kind, 2.0, fn(pts), METHOD_CLOSED_FORM, pts.n, pts.d)
-    else:
-        if pts.d != 1 or kind not in ("star", "extreme"):
-            raise DisclabError(
-                "exact evaluation for p not in {2, inf} exists only for star/extreme "
-                "in d=1; use the oracle subcommand"
-            )
-        est = Estimate(kind, p, exact_lp_1d(pts, kind, p), METHOD_PIECEWISE, pts.n, pts.d)
+    est = estimate(pts, args.kind, _parse_p(args.p))
     if args.format == "json":
         _write(_estimate_json(est) + "\n", args.out)
     else:

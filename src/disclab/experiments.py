@@ -12,18 +12,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import GuardError
-from .exact_l2 import diaphony, extreme_l2, periodic_l2, star_l2
-from .lp_oracle import (
-    _LINF_MAX_D,
-    _LINF_MAX_N,
-    McConfig,
-    exact_lp_1d,
-    linf_exact_small,
-    linf_extreme_1d,
-    linf_star_1d,
-    mc_lp,
-)
+from .errors import DisclabError, GuardError
+from .exact_l2 import extreme_l2, periodic_l2, star_l2
+from .lp_oracle import _LINF_MAX_D, _LINF_MAX_N, McConfig, estimate, mc_lp
+from .pointsets import PointSet
 from .prefix_scan import prefix_discrepancies
 from .rng import random_point_set
 from .sequences import SequenceGen, VanDerCorput, lift, prefix
@@ -140,11 +132,8 @@ def inequality_suite(
             record(_leq("extreme_l2<=star_l2", e2, s2, meta))
             record(_leq("extreme_l2<=periodic_l2", e2, p2, meta))
             if d <= _LINF_MAX_D and n <= _LINF_MAX_N:
-                if d == 1:
-                    li_s, li_e = linf_star_1d(pts), linf_extreme_1d(pts)
-                else:
-                    li_s = linf_exact_small(pts, "star")
-                    li_e = linf_exact_small(pts, "extreme")
+                li_s = estimate(pts, "star", math.inf).value
+                li_e = estimate(pts, "extreme", math.inf).value
                 record(_leq("linf_star<=linf_extreme", li_s, li_e, meta))
                 record(_leq("linf_extreme<=2^d*linf_star", li_e, (2.0**d) * li_s, meta))
     report = VerdictReport(
@@ -169,7 +158,6 @@ def prefix_transference_verify(
     n_max: int,
     p: float = 2.0,
     mc: McConfig | None = None,
-    n_cap: int = DEFAULT_LEMMA_CAP,
 ) -> VerdictReport:
     """Check the prefix-maximum transference bound.
 
@@ -186,26 +174,18 @@ def prefix_transference_verify(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > n_cap:
-        raise GuardError(
-            f"n_max={n_max} exceeds the cap {n_cap}; the prefix maximum costs O(N^3)"
-        )
+    if n_max > DEFAULT_LEMMA_CAP:
+        raise GuardError(f"n_max={n_max} exceeds the cap {DEFAULT_LEMMA_CAP}; "
+                         "the prefix maximum costs O(N^3)")
     if p != 2.0 and mc is None:
         raise ValueError("p != 2 requires a Monte Carlo config")
     d = gen.d
     cases = []
     full = prefix(gen, n_max)
+    values = _scan_values(full, "extreme", p, range(1, n_max + 1), mc)
 
     if p == 2.0:
-        running = 0.0
-        prefix_best: list[float] = []
-        if d == 1:
-            vals = prefix_discrepancies(full, kinds=("extreme",))["extreme"]
-            prefix_best = np.maximum.accumulate(vals).tolist()
-        else:
-            for n in range(1, n_max + 1):
-                running = max(running, extreme_l2(full.prefix(n)))
-                prefix_best.append(running)
+        prefix_best = np.maximum.accumulate([v for v, _ in values.values()]).tolist()
         for n in (2**k for k in range(0, n_max.bit_length())):
             if n > n_max:
                 break
@@ -225,17 +205,8 @@ def prefix_transference_verify(
             )
     else:
         assert mc is not None
-        best = -math.inf
-        best_se = 0.0
-        for n in range(1, n_max + 1):
-            pf = full.prefix(n)
-            if d == 1:
-                v, se = exact_lp_1d(pf, "extreme", p), 0.0
-            else:
-                est = mc_lp(pf, McConfig("extreme", p, mc.samples, mc.seed + n))
-                v, se = est.value, est.stderr or 0.0
-            if v > best:
-                best, best_se = v, se
+        # max keeps the first n that reaches the maximum, and its stderr
+        best, best_se = max(values.values(), key=lambda v_se: v_se[0])
         est = mc_lp(lift(full, n_max), McConfig("extreme", p, mc.samples, mc.seed))
         rhs = 2.0 ** (1.0 / p - 1.0) * est.value - 2.0 ** (-d / p)
         sigma = 3.0 * math.hypot(best_se, (est.stderr or 0.0) * 2.0 ** (1.0 / p - 1.0))
@@ -262,38 +233,26 @@ def _rate(n: int, d: int, per_n: bool) -> float:
 
 
 def _scan_values(
-    gen: SequenceGen,
+    full: PointSet,
     kind: str,
     p: float,
-    ns: list[int],
+    ns: list[int] | range,
     mc: McConfig | None,
-) -> dict[int, float]:
-    """Discrepancy of each requested prefix length.
+) -> dict[int, tuple[float, float]]:
+    """(value, stderr) of each requested prefix length of `full`.
 
-    p = 2 and d = 1 go through the incremental engine (one pass covers every
-    prefix); p = 2 in higher dimension uses the closed forms per n; other
-    finite p use exact integration in d = 1 and Monte Carlo otherwise.
+    p = 2 in d = 1 goes through the incremental engine (one pass covers every
+    prefix); every other prefix goes through `estimate`, with the Monte Carlo
+    seed offset by n.
     """
-    n_max = max(ns)
-    d = gen.d
-    values: dict[int, float] = {}
-    if d == 1 and (p == 2.0 or kind == "diaphony"):
-        vals = prefix_discrepancies(prefix(gen, n_max), kinds=(kind,))[kind]
-        return {n: float(vals[n - 1]) for n in ns}
-    if p == 2.0 or kind == "diaphony":
-        fn = {"star": star_l2, "extreme": extreme_l2, "periodic": periodic_l2,
-              "diaphony": diaphony}[kind]
-        full = prefix(gen, n_max)
-        return {n: fn(full.prefix(n)) for n in ns}
-    full = prefix(gen, n_max)
+    if full.d == 1 and p == 2.0:
+        vals = prefix_discrepancies(full, kinds=(kind,))[kind]
+        return {n: (float(vals[n - 1]), 0.0) for n in ns}
+    values = {}
     for n in ns:
-        pf = full.prefix(n)
-        if d == 1 and kind in ("star", "extreme"):
-            values[n] = exact_lp_1d(pf, kind, p)
-        else:
-            if mc is None:
-                raise ValueError("p != 2 in d >= 2 requires a Monte Carlo config")
-            values[n] = mc_lp(pf, McConfig(kind, p, mc.samples, mc.seed + n)).value
+        cfg = None if mc is None else McConfig(kind, p, mc.samples, mc.seed + n)
+        est = estimate(full.prefix(n), kind, p, cfg)
+        values[n] = (est.value, est.stderr or 0.0)
     return values
 
 
@@ -327,12 +286,15 @@ def growth_scan(
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 2:
         raise ValueError("scan requires at least one n, and n >= 2 so that log n > 0")
+    if math.isinf(p):
+        raise DisclabError("scan requires finite p; use compute for p=inf")
     per_n = kind == "diaphony"
-    values = _scan_values(gen, kind, p, ns, mc)
+    values = _scan_values(prefix(gen, ns[-1]), kind, p, ns, mc)
     rows = []
     for n in ns:
         rate = _rate(n, gen.d, per_n)
-        rows.append(ScanRow(n, values[n], rate, values[n] / rate))
+        value = values[n][0]
+        rows.append(ScanRow(n, value, rate, value / rate))
     ratios = [r.ratio for r in rows]
     return ScanResult(
         rows,

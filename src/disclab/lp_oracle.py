@@ -4,6 +4,8 @@ algorithms for low dimension.
 
 These operate straight from the definitions and serve as ground truth for the
 closed forms in `exact_l2`, besides being useful on their own for p != 2.
+`estimate` picks the evaluator for a (kind, p, d) request, closed forms
+included.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError
+from . import exact_l2
+from .errors import DisclabError, GuardError
 from .pointsets import (
+    METHOD_CLOSED_FORM,
     METHOD_GRID_ENUM,
     METHOD_MONTE_CARLO,
     METHOD_PIECEWISE,
@@ -33,7 +37,7 @@ __all__ = [
     "linf_star_1d",
     "linf_extreme_1d",
     "linf_exact_small",
-    "linf_estimate",
+    "estimate",
 ]
 
 MC_KINDS = ("star", "extreme", "periodic")
@@ -362,13 +366,35 @@ def _linf_small_2d(pts: np.ndarray, kind: str) -> float:
     return best
 
 
-def linf_estimate(points: PointSet, kind: str) -> Estimate:
-    """Estimate wrapper for the exact supremum algorithms, dispatching on
-    dimension."""
-    if points.d == 1:
-        value = linf_star_1d(points) if kind == "star" else linf_extreme_1d(points)
-        method = METHOD_PIECEWISE
-    else:
-        value = linf_exact_small(points, kind)
-        method = METHOD_GRID_ENUM
-    return Estimate(kind=kind, p=math.inf, value=value, method=method, n=points.n, d=points.d)
+def estimate(points: PointSet, kind: str, p: float, mc: McConfig | None = None) -> Estimate:
+    """The evaluator for one (kind, p, d) request, in rule order:
+
+    - p = inf: the exact supremum, star and extreme only;
+    - diaphony: its closed form, p = 2 only;
+    - p = 2: the `exact_l2` closed form;
+    - d = 1, star or extreme: piecewise-exact integration;
+    - otherwise Monte Carlo with `mc`, which a caller must supply.
+    """
+    n, d = points.n, points.d
+    if math.isinf(p):
+        if kind not in ("star", "extreme"):
+            raise DisclabError("p=inf supports kinds star and extreme only")
+        if d == 1:
+            value = (linf_star_1d if kind == "star" else linf_extreme_1d)(points)
+            return Estimate(kind, p, value, METHOD_PIECEWISE, n, d)
+        return Estimate(kind, p, linf_exact_small(points, kind), METHOD_GRID_ENUM, n, d)
+    if kind == "diaphony" and p != 2.0:
+        raise DisclabError("diaphony is a quadratic quantity; use --p 2")
+    if p == 2.0:
+        # looked up at call time, so a wrapped closed form is the one called
+        closed_form = {"star": exact_l2.star_l2, "extreme": exact_l2.extreme_l2,
+                       "periodic": exact_l2.periodic_l2, "diaphony": exact_l2.diaphony}[kind]
+        return Estimate(kind, p, closed_form(points), METHOD_CLOSED_FORM, n, d)
+    if d == 1 and kind in ("star", "extreme"):
+        return Estimate(kind, p, exact_lp_1d(points, kind, p), METHOD_PIECEWISE, n, d)
+    if mc is None:
+        raise DisclabError(
+            "exact evaluation for p not in {2, inf} exists only for star/extreme "
+            "in d=1; use the oracle subcommand"
+        )
+    return mc_lp(points, mc)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -60,15 +60,6 @@ class PointSet:
         a = np.ascontiguousarray(a)
         a.flags.writeable = False
         object.__setattr__(self, "coords", a)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[float]], d: int | None = None) -> "PointSet":
-        rows = [list(map(float, r)) for r in rows]
-        if not rows:
-            if d is None:
-                raise CoordinateError("cannot infer dimension of an empty point set")
-            return cls(np.empty((0, d)))
-        return cls(np.asarray(rows, dtype=np.float64))
 
     @property
     def n(self) -> int:

@@ -19,15 +19,7 @@ import math
 
 import numpy as np
 
-__all__ = ["two_sum", "comp_sum", "KernelAccumulator", "exact_ratio_parts"]
-
-
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Error-free transformation: a + b = s + e exactly (Knuth, branchless)."""
-    s = a + b
-    bv = s - a
-    e = (a - (s - bv)) + (b - bv)
-    return s, e
+__all__ = ["comp_sum", "KernelAccumulator", "exact_ratio_parts"]
 
 
 def comp_sum(values: np.ndarray) -> tuple[float, float]:

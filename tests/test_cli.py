@@ -130,6 +130,26 @@ def test_scan_ns_list_and_json():
     assert "fit" in payload
 
 
+@pytest.mark.parametrize("seq", ["vdc", "halton"])
+def test_scan_diaphony_refuses_p_not_2_as_compute_does(tmp_path, seq):
+    f = tmp_path / "p.csv"
+    run_cli("gen", "--kind", seq, "--n", "8", "--out", str(f))
+    compute = run_cli("compute", "--kind", "diaphony", "--p", "3", "--in", str(f))
+    scan = run_cli("scan", "--seq", seq, "--kind", "diaphony", "--p", "3", "--ns", "4,8")
+    assert scan.returncode == compute.returncode == 1
+    assert scan.stdout == ""
+    assert scan.stderr == compute.stderr == (
+        "disclab: error: diaphony is a quadratic quantity; use --p 2\n"
+    )
+
+
+@pytest.mark.parametrize("seq", ["vdc", "halton"])
+def test_scan_refuses_p_inf(seq):
+    r = run_cli("scan", "--seq", seq, "--kind", "extreme", "--p", "inf", "--ns", "4,8")
+    assert r.returncode == 1
+    assert r.stderr == "disclab: error: scan requires finite p; use compute for p=inf\n"
+
+
 @pytest.mark.parametrize("ns", ["2..0", "5..2:linear"])
 def test_scan_empty_schedule_is_domain_error(ns):
     r = run_cli("scan", "--seq", "vdc", "--kind", "star", "--ns", ns)

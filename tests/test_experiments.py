@@ -10,9 +10,13 @@ from disclab import (
     ScanRow,
     VanDerCorput,
     diaphony_scan,
+    exact_lp_1d,
     fit_log_exponent,
     growth_scan,
     inequality_suite,
+    lift,
+    mc_lp,
+    prefix,
     prefix_transference_verify,
     vdc_exponent_report,
     vdc_star_constant,
@@ -71,6 +75,28 @@ def test_prefix_transference_mc_variant():
         Halton((2, 3)), 8, p=1.5, mc=McConfig("extreme", 1.5, 20_000, 3)
     )
     assert rep.passed
+
+
+@pytest.mark.parametrize("gen", [VanDerCorput(2), Halton((2, 3))])
+def test_prefix_transference_mc_matches_per_prefix_loop(gen):
+    p, n_max, mc = 1.5, 8, McConfig("extreme", 1.5, 20_000, 3)
+    (case,) = prefix_transference_verify(gen, n_max, p=p, mc=mc).cases
+    # reference: one evaluator call per prefix, keeping the first maximum
+    full = prefix(gen, n_max)
+    best, best_se = -math.inf, 0.0
+    for n in range(1, n_max + 1):
+        pf = full.prefix(n)
+        if gen.d == 1:
+            v, se = exact_lp_1d(pf, "extreme", p), 0.0
+        else:
+            est = mc_lp(pf, McConfig("extreme", p, mc.samples, mc.seed + n))
+            v, se = est.value, est.stderr or 0.0
+        if v > best:
+            best, best_se = v, se
+    est = mc_lp(lift(full, n_max), McConfig("extreme", p, mc.samples, mc.seed))
+    rhs = 2.0 ** (1.0 / p - 1.0) * est.value - 2.0 ** (-gen.d / p)
+    sigma = 3.0 * math.hypot(best_se, (est.stderr or 0.0) * 2.0 ** (1.0 / p - 1.0))
+    assert (case.lhs, case.rhs, case.meta["three_sigma"]) == (best, rhs, sigma)
 
 
 def test_fit_log_exponent_recovers_planted_exponents():

@@ -7,20 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclab import (
+    DisclabError,
     GuardError,
+    Halton,
     McConfig,
     PointSet,
     VanDerCorput,
+    diaphony,
+    estimate,
     exact_lp_1d,
     extreme_l2,
     linf_exact_small,
     linf_extreme_1d,
     linf_star_1d,
     mc_lp,
+    periodic_l2,
     prefix,
     random_point_set,
     star_l2,
     uniform01,
+)
+from disclab.pointsets import (
+    METHOD_CLOSED_FORM,
+    METHOD_GRID_ENUM,
+    METHOD_MONTE_CARLO,
+    METHOD_PIECEWISE,
 )
 
 
@@ -323,3 +334,49 @@ def test_linf_small_guards():
         linf_exact_small(random_point_set(65, 2, 0), "star")
     with pytest.raises(GuardError):
         linf_exact_small(random_point_set(8, 3, 0), "star")
+
+
+# ---------------------------------------------------------------------------
+# estimate: one evaluator per (kind, p, d) regime
+# ---------------------------------------------------------------------------
+
+REGIME_SETS = {1: prefix(VanDerCorput(2), 20), 2: prefix(Halton((2, 3)), 20)}
+
+
+def _regimes():
+    """(p, d, kind, method, direct evaluator); method None marks a refusal,
+    evaluator None the Monte Carlo rows (checked against `mc_lp`)."""
+    closed = {"star": star_l2, "extreme": extreme_l2, "periodic": periodic_l2,
+              "diaphony": diaphony}
+    sup_1d = {"star": linf_star_1d, "extreme": linf_extreme_1d}
+    for d in (1, 2):
+        for kind, fn in closed.items():
+            yield 2.0, d, kind, METHOD_CLOSED_FORM, fn
+        yield 1.5, d, "periodic", METHOD_MONTE_CARLO, None
+        for kind in ("periodic", "diaphony"):
+            yield math.inf, d, kind, None, None
+        yield 1.5, d, "diaphony", None, None
+    for kind in ("star", "extreme"):
+        yield 1.5, 1, kind, METHOD_PIECEWISE, lambda pts, k=kind: exact_lp_1d(pts, k, 1.5)
+        yield 1.5, 2, kind, METHOD_MONTE_CARLO, None
+        yield math.inf, 1, kind, METHOD_PIECEWISE, sup_1d[kind]
+        yield math.inf, 2, kind, METHOD_GRID_ENUM, lambda pts, k=kind: linf_exact_small(pts, k)
+
+
+@pytest.mark.parametrize("p, d, kind, method, direct", list(_regimes()))
+def test_estimate_picks_one_evaluator_per_regime(p, d, kind, method, direct):
+    pts = REGIME_SETS[d]
+    if method is None:
+        with pytest.raises(DisclabError):
+            estimate(pts, kind, p)
+        return
+    mc = McConfig(kind, p, 2000, 3) if method == METHOD_MONTE_CARLO else None
+    est = estimate(pts, kind, p, mc)
+    assert (est.kind, est.p, est.method, est.n, est.d) == (kind, p, method, pts.n, d)
+    if mc is None:
+        assert est.value == direct(pts)
+        assert est.stderr is None
+    else:
+        assert est == mc_lp(pts, mc)
+        with pytest.raises(DisclabError, match="oracle"):
+            estimate(pts, kind, p)
