@@ -54,6 +54,7 @@ __all__ = [
 _BLOCK = 1024  # rows per block; fixed so the reduction tree is fixed
 
 _TWO_PI_SQ = 2.0 * math.pi**2
+_SIGMA = 1.0 + math.pi**2 / 3.0  # 1 + 2 pi^2 B2(0): the diaphony kernel's largest factor
 
 
 def _bernoulli2(t: np.ndarray) -> np.ndarray:
@@ -125,6 +126,17 @@ def _root(acc: KernelAccumulator, num: int, c: int, d: int) -> float:
     return math.sqrt(max(math.fsum((s, lo, chi, clo)), 0.0))
 
 
+def _require_diaphony_finite(n: int, d: int) -> None:
+    """Raise GuardError unless every diaphony pair term and the pair sum fit
+    in a double. Each kernel factor lies in [1 - pi^2/6, _SIGMA], and the
+    diagonal terms reach _SIGMA^d, so n^2 _SIGMA^d bounds every intermediate;
+    the 1e-6 of slack in the exponent covers the rounding of the products."""
+    if d * math.log(_SIGMA) + 2.0 * math.log(n) >= math.log(sys.float_info.max) - 1e-6:
+        raise GuardError(
+            f"diaphony overflows a double at d={d}, n={n}: its diagonal terms are (1 + pi^2/3)^d"
+        )
+
+
 def star_l2(points: PointSet) -> float:
     """Star L2 discrepancy (anchored boxes), unnormalized."""
     points.require_nonempty()
@@ -167,7 +179,8 @@ def diaphony(points: PointSet) -> float:
     """
     points.require_nonempty()
     x = points.coords
-    n = x.shape[0]
+    n, d = x.shape
+    _require_diaphony_finite(n, d)
     acc = _pair_sum(
         x, _incremental_kernel(lambda u, v: _TWO_PI_SQ * _bernoulli2(np.subtract.outer(u, v)))
     )
@@ -198,6 +211,7 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
         raise ValueError(f"frequency cutoff must be >= 1, got {h_max}")
     x = points.coords
     n, d = x.shape
+    _require_diaphony_finite(n, d)
     h = np.arange(1, h_max + 1, dtype=np.float64)
     w = 1.0 / (h * h)
     two_pi_h = 2.0 * math.pi * h
@@ -212,7 +226,6 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
 
     acc = _pair_sum(x, _incremental_kernel(g_minus_one))
     t2 = max(acc.value / (n * n), 0.0)
-    sigma = 1.0 + math.pi**2 / 3.0
     sigma_h = 1.0 + 2.0 * float(np.sum(w))
-    bound = sigma**d - sigma_h**d
+    bound = _SIGMA**d - sigma_h**d
     return math.sqrt(t2), bound

@@ -109,6 +109,8 @@ def workdir(tmp_path_factory):
 @example(text="0.5\n", argv=["scan", "--ns", "2..64:linear:0"])
 @example(text="0.5,0.25\n", argv=["oracle", "--kind", "periodic", "--p", "1e308",
                                    "--samples", "100", "--in", "{in}"])
+@example(text="# d=700 n=1\n" + ",".join(["0"] * 700) + "\n",
+         argv=["compute", "--kind", "diaphony", "--p", "2", "--in", "{in}"])
 @settings(max_examples=300, deadline=None)
 def test_cli_main_never_escapes_its_exit_codes(workdir, text, argv):
     infile = workdir / "points.csv"

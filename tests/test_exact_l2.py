@@ -229,3 +229,18 @@ def test_closed_forms_refuse_underflowing_dimensions():
         with pytest.raises(GuardError):
             fn(random_point_set(5, 645, 1))
         assert fn(random_point_set(5, 644, 1)) > 0.0
+
+
+def test_diaphony_refuses_overflowing_dimensions():
+    # the diagonal pair terms are (1 + pi^2/3)^d, above the largest double
+    # from d = 488; d = 700 used to escape as an overflow RuntimeWarning
+    one = pset([[0.0] * 487])
+    assert math.isfinite(diaphony(one))
+    assert math.isfinite(diaphony_truncated(one, 4)[1])
+    for fn in (diaphony, lambda p: diaphony_truncated(p, 4)):
+        with pytest.raises(GuardError, match="d=488"):
+            fn(pset([[0.0] * 488]))
+        with pytest.raises(GuardError, match="d=700"):
+            fn(random_point_set(3, 700, 1))
+        with pytest.raises(GuardError, match="n=2"):
+            fn(pset([[0.0] * 487] * 2))  # four diagonal-sized terms
