@@ -4,11 +4,12 @@
 
 All floating-point output is printed with 17 significant digits and every
 random quantity is driven by an explicit or default seed, so identical
-invocations produce byte-identical output. DISCLAB_THREADS (or --threads)
-caps worker threads for Monte Carlo sampling; results do not depend on the
-cap. `compute` and `scan` take their evaluator from `lp_oracle.estimate`;
-the diaphony is defined at p = 2 only. Exit codes: 0 success, 1 domain
-error, 2 usage error, 3 a verification verdict failed.
+invocations produce byte-identical output. DISCLAB_THREADS caps the worker
+threads of Monte Carlo sampling (`oracle --threads` overrides it) and of the
+closed-form pair sums; results do not depend on the cap. `compute` and
+`scan` take their evaluator from `lp_oracle.estimate`; the diaphony is
+defined at p = 2 only. Exit codes: 0 success, 1 domain error, 2 usage
+error, 3 a verification verdict failed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import sys
 from typing import Sequence
 
-from .errors import DisclabError
+from .errors import DisclabError, MonteCarloRequired
 from .experiments import (
     fit_log_exponent,
     growth_scan,
@@ -29,7 +30,7 @@ from .experiments import (
     vdc_exponent_report,
     vdc_star_constant,
 )
-from .lp_oracle import McConfig, estimate, mc_lp
+from .lp_oracle import KINDS, MC_KINDS, McConfig, estimate, mc_lp
 from .pointsets import Estimate, PointSet, read_points, write_points
 from .rng import DEFAULT_SEED
 from .sequences import MAX_INDEX, Halton, VanDerCorput, lift, prefix
@@ -208,7 +209,13 @@ def _cmd_scan(args) -> int:
     mc = None
     if args.samples and args.kind != "diaphony":
         mc = McConfig(kind=args.kind, p=p, samples=args.samples, seed=args.seed)
-    result = growth_scan(gen, args.kind, p, ns, mc)
+    try:
+        result = growth_scan(gen, args.kind, p, ns, mc)
+    except MonteCarloRequired:
+        raise DisclabError(
+            f"no exact evaluator for {args.kind} at p={args.p} in d={gen.d}; "
+            "pass --samples N to scan by Monte Carlo"
+        ) from None
     if args.format == "json":
         payload = result.to_dict()
         if len(result.rows) >= 3 and min(r.n for r in result.rows) >= 3:
@@ -284,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.set_defaults(fn=_cmd_lift)
 
     c = sub.add_parser("compute", help="exact discrepancy of a CSV point set")
-    c.add_argument("--kind", required=True,
-                   choices=("star", "extreme", "periodic", "diaphony"))
+    c.add_argument("--kind", required=True, choices=KINDS)
     c.add_argument("--p", default="2", help="p in [1, inf]; 'inf' for the supremum")
     c.add_argument("--in", dest="infile", required=True, help="CSV point file")
     c.add_argument("--format", choices=("json", "csv"), default="json")
@@ -293,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_compute)
 
     o = sub.add_parser("oracle", help="Monte Carlo discrepancy estimate")
-    o.add_argument("--kind", required=True, choices=("star", "extreme", "periodic"))
+    o.add_argument("--kind", required=True, choices=MC_KINDS)
     o.add_argument("--p", default="2")
     o.add_argument("--samples", type=int, default=100000)
     o.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -307,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seq", choices=("vdc", "halton"), default="vdc")
     s.add_argument("--base", type=int, default=2)
     s.add_argument("--bases", default="2,3")
-    s.add_argument("--kind", default="extreme",
-                   choices=("star", "extreme", "periodic", "diaphony"))
+    s.add_argument("--kind", default="extreme", choices=KINDS)
     s.add_argument("--p", default="2")
     s.add_argument("--ns", required=True,
                    help="'16..65536:geometric[:factor]', 'a..b:linear[:step]' or '2,4,8'")

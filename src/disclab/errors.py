@@ -19,3 +19,8 @@ class CoordinateError(DisclabError, ValueError):
 
 class GuardError(DisclabError):
     """An enumeration or size guard was exceeded."""
+
+
+class MonteCarloRequired(DisclabError):
+    """No exact evaluator exists for the request and no Monte Carlo
+    configuration was given."""

@@ -27,9 +27,18 @@ rational constant split into two doubles), which keeps well over ten
 significant digits up to n = 2^16 even though the raw terms cancel by eight
 orders of magnitude. Every pair sum here, the truncated diaphony included,
 goes through one blocked pair sum, `_pair_sum`, with either a product kernel or
-an incrementally expanded one. It walks the upper block triangle and doubles
-the off-diagonal blocks; doubling is exact in binary, and the block layout is
-fixed, so results do not depend on evaluation order or available parallelism.
+an incrementally expanded one. It walks the upper triangle of 1024 x 1024
+blocks and doubles the off-diagonal blocks; doubling is exact in binary.
+
+Outside the truncated diaphony a block is never built whole:
+`summation.strip_sum` builds it in row strips of at most 2^15 entries (32
+rows at full width), and each strip runs the first levels of the block's
+TwoSum tree while it is in cache, writing their rounding errors straight
+into per-level buffers at the offsets `comp_sum` gives them; the strips'
+partial sums then finish the tree. So each block's (value, compensation) is
+bit for bit comp_sum of the whole block. Block pairs run on the worker pool
+(DISCLAB_THREADS, else the CPU count up to 8) and are added in block order,
+so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -40,8 +49,8 @@ import sys
 import numpy as np
 
 from .errors import GuardError
-from .pointsets import PointSet
-from .summation import KernelAccumulator, comp_sum, exact_ratio_parts
+from .pointsets import PointSet, _ordered_map
+from .summation import KernelAccumulator, comp_sum, exact_ratio_parts, strip_sum
 
 __all__ = [
     "star_l2",
@@ -64,25 +73,43 @@ def _bernoulli2(t: np.ndarray) -> np.ndarray:
     return f * f - f + (1.0 / 6.0)
 
 
-def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> KernelAccumulator:
+def _pair_sum(
+    x: np.ndarray, block_fn, g: np.ndarray | None = None, whole_blocks: bool = False
+) -> KernelAccumulator:
     """Accumulate sum_{k,l} (K(x_k, x_l) - g_k - g_l), where block_fn(xi, xj)
-    returns the kernel matrix of one block pair and the optional per-point
-    term g is folded into the summand. Off-diagonal blocks contribute twice
-    (symmetry); the factor two is exact."""
+    returns the kernel matrix of rows xi against columns xj and the optional
+    per-point term g is folded into the summand. Off-diagonal blocks
+    contribute twice (symmetry); the factor two is exact.
+
+    Each block is built and folded in row strips by `strip_sum`, and block
+    pairs run on the worker pool; their sums are added in block order. With
+    whole_blocks, block_fn sees whole blocks only and the blocks run one at a
+    time, for a kernel whose values depend on how its block is split
+    (`diaphony_truncated`)."""
     n = x.shape[0]
-    acc = KernelAccumulator()
-    for i0 in range(0, n, _BLOCK):
-        xi = x[i0 : i0 + _BLOCK]
-        for j0 in range(i0, n, _BLOCK):
-            K = block_fn(xi, x[j0 : j0 + _BLOCK])
+    pairs = [(i0, j0) for i0 in range(0, n, _BLOCK) for j0 in range(i0, n, _BLOCK)]
+
+    def block_sum(pair):
+        i0, j0 = pair
+        xi, xj = x[i0 : i0 + _BLOCK], x[j0 : j0 + _BLOCK]
+        if whole_blocks:
+            return comp_sum(block_fn(xi, xj))
+
+        def strip(r0, r1):
+            K = block_fn(xi[r0:r1], xj)
             if g is not None:
-                K -= g[i0 : i0 + _BLOCK, None]
-                K -= g[None, j0 : j0 + _BLOCK]
-            hi, lo = comp_sum(K)
-            del K  # free it before the next block is built, or peak memory holds one more
-            if j0 > i0:
-                hi, lo = 2.0 * hi, 2.0 * lo
-            acc.add_pair(hi, lo)
+                K -= g[i0 + r0 : i0 + r1, None]
+                K -= g[None, j0 : j0 + xj.shape[0]]
+            return K
+
+        return strip_sum(xi.shape[0], xj.shape[0], strip)
+
+    acc = KernelAccumulator()
+    threads = 1 if whole_blocks else 0
+    for (i0, j0), (hi, lo) in zip(pairs, _ordered_map(block_sum, pairs, threads)):
+        if j0 > i0:
+            hi, lo = 2.0 * hi, 2.0 * lo
+        acc.add_pair(hi, lo)
     return acc
 
 
@@ -205,6 +232,11 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
     The truncated sum is evaluated per pair and coordinate through the
     partial Fourier kernel g_H(t) = 1 + 2 sum_{h=1}^{H} cos(2 pi h t)/h^2,
     which is algebraically identical to enumerating the frequency box.
+
+    A BLAS matrix-vector product rounds a row differently depending on where
+    the row falls in its call, so this kernel is built on whole blocks with a
+    fixed chunking, one block at a time: the bits do not depend on the
+    thread cap, and one cos table of at most ~32 MiB is alive per call.
     """
     points.require_nonempty()
     if h_max < 1:
@@ -215,7 +247,7 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
     h = np.arange(1, h_max + 1, dtype=np.float64)
     w = 1.0 / (h * h)
     two_pi_h = 2.0 * math.pi * h
-    chunk = max(1, (1 << 22) // h_max)  # keeps each cos table within ~32MB
+    chunk = max(1, (1 << 22) // h_max)  # keeps the cos table within ~32 MiB
 
     def g_minus_one(u, v):
         deltas = np.subtract.outer(u, v).ravel()
@@ -224,7 +256,7 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
             out[s : s + chunk] = 2.0 * (np.cos(np.outer(deltas[s : s + chunk], two_pi_h)) @ w)
         return out.reshape(u.size, v.size)
 
-    acc = _pair_sum(x, _incremental_kernel(g_minus_one))
+    acc = _pair_sum(x, _incremental_kernel(g_minus_one), whole_blocks=True)
     t2 = max(acc.value / (n * n), 0.0)
     sigma_h = 1.0 + 2.0 * float(np.sum(w))
     bound = _SIGMA**d - sigma_h**d

@@ -11,14 +11,12 @@ included.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exact_l2
-from .errors import DisclabError, GuardError
+from .errors import DisclabError, GuardError, MonteCarloRequired
 from .pointsets import (
     METHOD_CLOSED_FORM,
     METHOD_GRID_ENUM,
@@ -27,6 +25,7 @@ from .pointsets import (
     Estimate,
     PointSet,
     _count_in_boxes,
+    _ordered_map,
 )
 from .rng import PRNG_NAME, uniform01
 
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 MC_KINDS = ("star", "extreme", "periodic")
+KINDS = MC_KINDS + ("diaphony",)
 
 # Samples per chunk. Partial sums are produced per chunk and combined in
 # chunk order, so the result is independent of how many workers ran them.
@@ -66,19 +66,6 @@ class McConfig:
             raise ValueError("p must be finite and >= 1; use the linf operations for p=inf")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-
-
-def _thread_count(requested: int) -> int:
-    if requested > 0:
-        return requested
-    env = os.environ.get("DISCLAB_THREADS", "0")
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap > 0:
-        return cap
-    return min(os.cpu_count() or 1, 8)
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -126,13 +113,8 @@ def mc_lp(points: PointSet, cfg: McConfig) -> Estimate:
     n, d = pts.shape
     starts = list(range(0, cfg.samples, _CHUNK))
     jobs = [(s, min(_CHUNK, cfg.samples - s)) for s in starts]
-    workers = _thread_count(cfg.threads)
     try:
-        if workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(lambda j: _chunk_moments(pts, cfg, *j), jobs))
-        else:
-            results = [_chunk_moments(pts, cfg, *j) for j in jobs]
+        results = _ordered_map(lambda j: _chunk_moments(pts, cfg, *j), jobs, cfg.threads)
         mean = math.fsum(r[0] for r in results) / cfg.samples
         mean_sq = math.fsum(r[1] for r in results) / cfg.samples
     except ArithmeticError:  # |D|^p, its square or a sum left the double range
@@ -373,8 +355,12 @@ def estimate(points: PointSet, kind: str, p: float, mc: McConfig | None = None) 
     - diaphony: its closed form, p = 2 only;
     - p = 2: the `exact_l2` closed form;
     - d = 1, star or extreme: piecewise-exact integration;
-    - otherwise Monte Carlo with `mc`, which a caller must supply.
+    - otherwise Monte Carlo with `mc`; without it, MonteCarloRequired.
+
+    An unknown kind is a DisclabError that names the valid ones.
     """
+    if kind not in KINDS:
+        raise DisclabError(f"unknown kind {kind!r}; valid kinds are {', '.join(KINDS)}")
     n, d = points.n, points.d
     if math.isinf(p):
         if kind not in ("star", "extreme"):
@@ -393,7 +379,7 @@ def estimate(points: PointSet, kind: str, p: float, mc: McConfig | None = None) 
     if d == 1 and kind in ("star", "extreme"):
         return Estimate(kind, p, exact_lp_1d(points, kind, p), METHOD_PIECEWISE, n, d)
     if mc is None:
-        raise DisclabError(
+        raise MonteCarloRequired(
             "exact evaluation for p not in {2, inf} exists only for star/extreme "
             "in d=1; use the oracle subcommand"
         )

@@ -1,5 +1,6 @@
 """Point sets in [0,1)^d, axis-parallel test boxes, counting and local
-discrepancy, and the CSV point format.
+discrepancy, the CSV point format, and the worker pool that the Monte Carlo
+oracle and the closed-form pair sums share.
 
 Conventions used everywhere in the package:
 
@@ -14,6 +15,8 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -234,6 +237,31 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
                 inside = s if inside is None else np.bitwise_and(inside, s, out=inside)
             out[r : r + rows] += np.bitwise_count(inside).sum(axis=1, dtype=np.intp)
     return out
+
+
+def _thread_count(requested: int = 0) -> int:
+    """Worker cap: `requested` if positive, else DISCLAB_THREADS if positive,
+    else the CPU count, at most 8."""
+    if requested > 0:
+        return requested
+    env = os.environ.get("DISCLAB_THREADS", "0")
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap > 0:
+        return cap
+    return min(os.cpu_count() or 1, 8)
+
+
+def _ordered_map(fn, items: list, threads: int = 0) -> list:
+    """[fn(item) for item in items] on up to _thread_count(threads) threads.
+    Results come back in item order, so a caller that combines them in that
+    order gets the same bits at any worker count."""
+    if len(items) > 1 and (workers := _thread_count(threads)) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def count_points(points: PointSet, box: Box | PeriodicBox) -> int:

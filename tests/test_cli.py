@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from disclab import extreme_l2, random_point_set, read_points, write_points
+from disclab.cli import main
 
 
 def run_cli(*args, env=None):
@@ -99,13 +100,18 @@ def test_oracle_thread_cap_does_not_change_bytes(tmp_path):
     assert one.stdout == four.stdout
 
 
-def test_compute_thread_cap_does_not_change_bytes(tmp_path):
-    f = tmp_path / "p.csv"
-    run_cli("gen", "--kind", "halton", "--bases", "2,3", "--n", "50", "--out", str(f))
-    args = ("compute", "--kind", "periodic", "--p", "2", "--in", str(f))
-    one = run_cli(*args, env={"DISCLAB_THREADS": "1"})
-    four = run_cli(*args, env={"DISCLAB_THREADS": "4"})
-    assert one.stdout == four.stdout
+def test_compute_thread_cap_does_not_change_bytes(tmp_path, monkeypatch, capsys):
+    # n = 2100 gives three ragged block rows: six block pairs for the pool to split
+    for seq, n in (("halton", 50), ("halton", 2100), ("vdc", 2100)):
+        f = tmp_path / f"{seq}{n}.csv"
+        assert main(["gen", "--kind", seq, "--bases", "2,3", "--n", str(n), "--out", str(f)]) == 0
+        for kind in ("star", "extreme", "periodic", "diaphony"):
+            outs = set()
+            for cap in ("1", "2", "3", "4"):
+                monkeypatch.setenv("DISCLAB_THREADS", cap)
+                assert main(["compute", "--kind", kind, "--p", "2", "--in", str(f)]) == 0
+                outs.add(capsys.readouterr().out)
+            assert len(outs) == 1, (seq, n, kind)
 
 
 def test_scan_csv_and_plot_data(tmp_path):
@@ -141,6 +147,20 @@ def test_scan_diaphony_refuses_p_not_2_as_compute_does(tmp_path, seq):
     assert scan.stderr == compute.stderr == (
         "disclab: error: diaphony is a quadratic quantity; use --p 2\n"
     )
+
+
+def test_scan_without_samples_names_the_samples_flag():
+    # p != 2 in d >= 2 has no exact evaluator; scan's remedy is --samples N
+    r = run_cli("scan", "--seq", "halton", "--kind", "extreme", "--p", "1.5", "--ns", "4,8")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == (
+        "disclab: error: no exact evaluator for extreme at p=1.5 in d=2; "
+        "pass --samples N to scan by Monte Carlo\n"
+    )
+    sampled = run_cli("scan", "--seq", "halton", "--kind", "extreme", "--p", "1.5",
+                      "--ns", "4,8", "--samples", "2000")
+    assert sampled.returncode == 0
 
 
 @pytest.mark.parametrize("seq", ["vdc", "halton"])

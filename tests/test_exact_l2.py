@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 from disclab import (
     GuardError,
+    Halton,
     McConfig,
     PointSet,
     VanDerCorput,
     diaphony,
     diaphony_truncated,
+    exact_l2,
     exact_lp_1d,
     extreme_l2,
     mc_lp,
@@ -20,6 +23,7 @@ from disclab import (
     random_point_set,
     star_l2,
 )
+from disclab.summation import KernelAccumulator, comp_sum
 
 inner_coord = st.integers(1, 2**20 - 1).map(lambda j: j / 2**20)
 
@@ -244,3 +248,58 @@ def test_diaphony_refuses_overflowing_dimensions():
             fn(random_point_set(3, 700, 1))
         with pytest.raises(GuardError, match="n=2"):
             fn(pset([[0.0] * 487] * 2))  # four diagonal-sized terms
+
+
+# ---------------------------------------------------------------------------
+# the blocked pair sum: strips, workers and memory
+# ---------------------------------------------------------------------------
+
+
+def _whole_block_pair_sum(x, block_fn, g):
+    """The pair sum with every block built whole and summed by comp_sum."""
+    n, acc = x.shape[0], KernelAccumulator()
+    for i0 in range(0, n, exact_l2._BLOCK):
+        for j0 in range(i0, n, exact_l2._BLOCK):
+            K = block_fn(x[i0 : i0 + exact_l2._BLOCK], x[j0 : j0 + exact_l2._BLOCK])
+            K -= g[i0 : i0 + exact_l2._BLOCK, None]
+            K -= g[None, j0 : j0 + exact_l2._BLOCK]
+            hi, lo = comp_sum(K)
+            acc.add_pair(*((2.0 * hi, 2.0 * lo) if j0 > i0 else (hi, lo)))
+    return acc.parts
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_pair_sum_equals_whole_block_comp_sums(monkeypatch, d, threads):
+    monkeypatch.setenv("DISCLAB_THREADS", threads)
+    x = random_point_set(1100, d, 40 + d).coords  # ragged: 1024 + 76
+    g = np.prod((1.0 - x * x) / 2.0, axis=1)
+    block_fn = exact_l2._product_kernel(lambda u, v: 1.0 - np.maximum.outer(u, v))
+    assert exact_l2._pair_sum(x, block_fn, g).parts == _whole_block_pair_sum(x, block_fn, g)
+
+
+@pytest.mark.parametrize("fn", [star_l2, periodic_l2])
+def test_pair_sum_memory_stays_small_at_one_worker(monkeypatch, fn):
+    # a whole 1024 x 1024 block and comp_sum's temporaries took 24-32 MiB;
+    # strips leave the level-error buffers, 8 MiB, and a few strips
+    monkeypatch.setenv("DISCLAB_THREADS", "1")
+    p = prefix(Halton((2, 3)), 4096)
+    tracemalloc.start()
+    try:
+        fn(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_truncated_diaphony_multiblock_bits_do_not_depend_on_thread_cap(monkeypatch):
+    p = random_point_set(1100, 1, 12)  # three block pairs
+    values = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("DISCLAB_THREADS", threads)
+        values.append(diaphony_truncated(p, 8))
+    assert values[0] == values[1]
+    value, bound = values[0]
+    f2 = diaphony(p) ** 2
+    assert value**2 <= f2 + 1e-12 and f2 <= value**2 + bound

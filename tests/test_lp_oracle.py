@@ -380,3 +380,11 @@ def test_estimate_picks_one_evaluator_per_regime(p, d, kind, method, direct):
         assert est == mc_lp(pts, mc)
         with pytest.raises(DisclabError, match="oracle"):
             estimate(pts, kind, p)
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5, math.inf])
+def test_estimate_names_the_valid_kinds_for_an_unknown_kind(p):
+    # checked before dispatch: at p = 2 the kind used to be a bare KeyError,
+    # at p = 1.5 in d = 1 a misleading "use the oracle subcommand"
+    with pytest.raises(DisclabError, match="'stars'; valid kinds are star, extreme, periodic, diaphony"):
+        estimate(prefix(VanDerCorput(2), 8), "stars", p)

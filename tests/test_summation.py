@@ -1,10 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab.summation import KernelAccumulator, comp_sum, exact_ratio_parts
+from disclab import summation
+from disclab.exact_l2 import _product_kernel
+from disclab.summation import KernelAccumulator, comp_sum, exact_ratio_parts, strip_sum
 
 
 def test_comp_sum_empty_and_single():
@@ -61,3 +64,52 @@ def test_exact_ratio_parts_recovers_fraction():
         err = Fraction(hi) + Fraction(lo) - Fraction(num, den)
         # two doubles carry ~106 bits: relative error stays below 2^-100
         assert abs(err) <= abs(Fraction(num, den)) / 2**100
+
+
+def _star_factor(u, v):
+    return 1.0 - np.maximum.outer(u, v)
+
+
+# ragged shapes: one strip, one row, one column, odd strips, a short last
+# strip whose fold pads down to a single value, and full-width blocks
+STRIP_SHAPES = [(1, 1), (1, 1024), (1000, 1), (3, 5), (33, 7), (65, 513), (257, 1024),
+                (1024, 476), (1024, 1024)]
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("rows, cols", STRIP_SHAPES)
+def test_strip_fold_equals_comp_sum_of_the_built_block(rows, cols, d):
+    rng = np.random.default_rng(rows * 7919 + cols * 31 + d)
+    xi, xj = rng.random((rows, d)), rng.random((cols, d))
+    gi, gj = rng.random(rows) / 2.0, rng.random(cols) / 2.0
+    kernel = _product_kernel(_star_factor)
+    whole = kernel(xi, xj)
+    assert strip_sum(rows, cols, lambda r0, r1: kernel(xi[r0:r1], xj)) == comp_sum(whole)
+
+    def strip_with_g(r0, r1):
+        K = kernel(xi[r0:r1], xj)
+        K -= gi[r0:r1, None]
+        K -= gj[None, :]
+        return K
+
+    whole -= gi[:, None]
+    whole -= gj[None, :]
+    assert strip_sum(rows, cols, strip_with_g) == comp_sum(whole)
+
+
+@given(st.integers(1, 300), st.integers(1, 150), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_strip_fold_equals_comp_sum_with_small_strips(rows, cols, seed):
+    # 64-entry strips put several strips, and one-row strips where cols > 64,
+    # into matrices small enough to try many shapes
+    rng = np.random.default_rng(seed)
+    # magnitudes over 24 decades: every level has errors, and their sum
+    # changes with the order they are added in
+    m = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-12.0, 12.0, (rows, cols))
+    saved = summation._STRIP, summation._STRIP_REST
+    summation._STRIP, summation._STRIP_REST = 64, 4
+    try:
+        folded = strip_sum(rows, cols, lambda r0, r1: m[r0:r1].copy())
+    finally:
+        summation._STRIP, summation._STRIP_REST = saved
+    assert folded == comp_sum(m)
