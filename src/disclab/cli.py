@@ -84,12 +84,13 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _make_generator(family: str, base: int, bases: str) -> VanDerCorput | Halton:
-    if family == "vdc":
-        return VanDerCorput(base=base)
-    if family == "halton":
-        return Halton(tuple(int(b) for b in bases.split(",")))
-    raise DisclabError(f"unknown sequence family {family!r}")
+def _make_generator(args) -> VanDerCorput | Halton:
+    """The sequence that `_add_sequence_args`'s flags name."""
+    if args.family == "vdc":
+        return VanDerCorput(base=args.base)
+    if args.family == "halton":
+        return Halton(tuple(int(b) for b in args.bases.split(",")))
+    raise DisclabError(f"unknown sequence family {args.family!r}")
 
 
 def _parse_ns(text: str) -> list[int]:
@@ -166,15 +167,9 @@ def _emit_points(pts: PointSet, out_path: str | None) -> None:
 # --------------------------------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
-    gen = _make_generator(args.kind, args.base, args.bases)
-    _emit_points(prefix(gen, args.n), args.out)
-    return 0
-
-
-def _cmd_lift(args) -> int:
-    gen = _make_generator(args.kind, args.base, args.bases)
-    _emit_points(lift(gen, args.n), args.out)
+def _cmd_points(args) -> int:
+    """gen and lift: `args.build` is `prefix` or `lift`."""
+    _emit_points(args.build(_make_generator(args), args.n), args.out)
     return 0
 
 
@@ -203,7 +198,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    gen = _make_generator(args.seq, args.base, args.bases)
+    gen = _make_generator(args)
     ns = _parse_ns(args.ns)
     p = _parse_p(args.p)
     mc = None
@@ -248,7 +243,7 @@ def _cmd_verify(args) -> int:
         ).to_dict()
         failed = not report["passed"]
     elif args.suite == "lemma1":
-        gen = _make_generator(args.seq, args.base, args.bases)
+        gen = _make_generator(args)
         report = prefix_transference_verify(gen, args.n).to_dict()
         failed = not report["passed"]
     elif args.suite == "vdc-constant":
@@ -266,6 +261,13 @@ def _cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _add_sequence_args(parser: argparse.ArgumentParser, flag: str) -> None:
+    """The sequence family flag (`--kind` or `--seq`) and its bases."""
+    parser.add_argument(flag, dest="family", choices=("vdc", "halton"), default="vdc")
+    parser.add_argument("--base", type=int, default=2, help="radical-inverse base (vdc)")
+    parser.add_argument("--bases", default="2,3", help="comma separated coprime bases (halton)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="disclab",
@@ -274,21 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="emit a sequence prefix as CSV points")
-    g.add_argument("--kind", choices=("vdc", "halton"), default="vdc")
-    g.add_argument("--base", type=int, default=2, help="radical-inverse base (vdc)")
-    g.add_argument("--bases", default="2,3", help="comma separated coprime bases (halton)")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--out", default=None)
-    g.set_defaults(fn=_cmd_gen)
-
-    l = sub.add_parser("lift", help="emit the lifted (d+1)-dim prefix as CSV")
-    l.add_argument("--kind", choices=("vdc", "halton"), default="vdc")
-    l.add_argument("--base", type=int, default=2)
-    l.add_argument("--bases", default="2,3")
-    l.add_argument("--n", type=int, required=True)
-    l.add_argument("--out", default=None)
-    l.set_defaults(fn=_cmd_lift)
+    for name, build, text in (
+        ("gen", prefix, "emit a sequence prefix as CSV points"),
+        ("lift", lift, "emit the lifted (d+1)-dim prefix as CSV"),
+    ):
+        g = sub.add_parser(name, help=text)
+        _add_sequence_args(g, "--kind")
+        g.add_argument("--n", type=int, required=True)
+        g.add_argument("--out", default=None)
+        g.set_defaults(fn=_cmd_points, build=build)
 
     c = sub.add_parser("compute", help="exact discrepancy of a CSV point set")
     c.add_argument("--kind", required=True, choices=KINDS)
@@ -310,9 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(fn=_cmd_oracle)
 
     s = sub.add_parser("scan", help="growth scan against (log n)^{d/2}")
-    s.add_argument("--seq", choices=("vdc", "halton"), default="vdc")
-    s.add_argument("--base", type=int, default=2)
-    s.add_argument("--bases", default="2,3")
+    _add_sequence_args(s, "--seq")
     s.add_argument("--kind", default="extreme", choices=KINDS)
     s.add_argument("--p", default="2")
     s.add_argument("--ns", required=True,
@@ -335,9 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="points per trial (inequalities) or max prefix (lemma1)")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--max-n", dest="max_n", type=int, default=1 << 14)
-    v.add_argument("--seq", choices=("vdc", "halton"), default="vdc")
-    v.add_argument("--base", type=int, default=2)
-    v.add_argument("--bases", default="2,3")
+    _add_sequence_args(v, "--seq")
     v.add_argument("--out", default=None)
     v.set_defaults(fn=_cmd_verify)
     return ap

@@ -30,15 +30,16 @@ goes through one blocked pair sum, `_pair_sum`, with either a product kernel or
 an incrementally expanded one. It walks the upper triangle of 1024 x 1024
 blocks and doubles the off-diagonal blocks; doubling is exact in binary.
 
-Outside the truncated diaphony a block is never built whole:
-`summation.strip_sum` builds it in row strips of at most 2^15 entries (32
-rows at full width), and each strip runs the first levels of the block's
-TwoSum tree while it is in cache, writing their rounding errors straight
-into per-level buffers at the offsets `comp_sum` gives them; the strips'
-partial sums then finish the tree. So each block's (value, compensation) is
-bit for bit comp_sum of the whole block. Block pairs run on the worker pool
-(DISCLAB_THREADS, else the CPU count up to 8) and are added in block order,
-so results do not depend on the thread count.
+A block is never built whole: `summation.strip_sum` builds it in row strips
+of at most 2^15 entries (32 rows at full width), and each strip runs the
+first levels of the block's TwoSum tree while it is in cache, writing their
+rounding errors straight into per-level buffers at the offsets `comp_sum`
+gives them; the strips' partial sums then finish the tree. Every kernel
+gives each entry a value that depends on its two points alone, so each
+block's (value, compensation) is bit for bit comp_sum of the whole block.
+Block pairs run on the worker pool (DISCLAB_THREADS, else the CPU count up
+to 8) and are added in block order, so results do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import GuardError
 from .pointsets import PointSet, _ordered_map
-from .summation import KernelAccumulator, comp_sum, exact_ratio_parts, strip_sum
+from .summation import KernelAccumulator, exact_ratio_parts, strip_sum
 
 __all__ = [
     "star_l2",
@@ -73,27 +74,20 @@ def _bernoulli2(t: np.ndarray) -> np.ndarray:
     return f * f - f + (1.0 / 6.0)
 
 
-def _pair_sum(
-    x: np.ndarray, block_fn, g: np.ndarray | None = None, whole_blocks: bool = False
-) -> KernelAccumulator:
+def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> KernelAccumulator:
     """Accumulate sum_{k,l} (K(x_k, x_l) - g_k - g_l), where block_fn(xi, xj)
     returns the kernel matrix of rows xi against columns xj and the optional
     per-point term g is folded into the summand. Off-diagonal blocks
     contribute twice (symmetry); the factor two is exact.
 
     Each block is built and folded in row strips by `strip_sum`, and block
-    pairs run on the worker pool; their sums are added in block order. With
-    whole_blocks, block_fn sees whole blocks only and the blocks run one at a
-    time, for a kernel whose values depend on how its block is split
-    (`diaphony_truncated`)."""
+    pairs run on the worker pool; their sums are added in block order."""
     n = x.shape[0]
     pairs = [(i0, j0) for i0 in range(0, n, _BLOCK) for j0 in range(i0, n, _BLOCK)]
 
     def block_sum(pair):
         i0, j0 = pair
         xi, xj = x[i0 : i0 + _BLOCK], x[j0 : j0 + _BLOCK]
-        if whole_blocks:
-            return comp_sum(block_fn(xi, xj))
 
         def strip(r0, r1):
             K = block_fn(xi[r0:r1], xj)
@@ -105,8 +99,7 @@ def _pair_sum(
         return strip_sum(xi.shape[0], xj.shape[0], strip)
 
     acc = KernelAccumulator()
-    threads = 1 if whole_blocks else 0
-    for (i0, j0), (hi, lo) in zip(pairs, _ordered_map(block_sum, pairs, threads)):
+    for (i0, j0), (hi, lo) in zip(pairs, _ordered_map(block_sum, pairs)):
         if j0 > i0:
             hi, lo = 2.0 * hi, 2.0 * lo
         acc.add_pair(hi, lo)
@@ -231,12 +224,9 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
 
     The truncated sum is evaluated per pair and coordinate through the
     partial Fourier kernel g_H(t) = 1 + 2 sum_{h=1}^{H} cos(2 pi h t)/h^2,
-    which is algebraically identical to enumerating the frequency box.
-
-    A BLAS matrix-vector product rounds a row differently depending on where
-    the row falls in its call, so this kernel is built on whole blocks with a
-    fixed chunking, one block at a time: the bits do not depend on the
-    thread cap, and one cos table of at most ~32 MiB is alive per call.
+    which is algebraically identical to enumerating the frequency box. Its
+    terms are added elementwise from h = H down to 1, smallest first, so an
+    entry's value does not depend on the strip it is built in.
     """
     points.require_nonempty()
     if h_max < 1:
@@ -244,20 +234,21 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
     x = points.coords
     n, d = x.shape
     _require_diaphony_finite(n, d)
-    h = np.arange(1, h_max + 1, dtype=np.float64)
-    w = 1.0 / (h * h)
+    h = np.arange(h_max, 0, -1, dtype=np.float64)
+    w = 2.0 / (h * h)
     two_pi_h = 2.0 * math.pi * h
-    chunk = max(1, (1 << 22) // h_max)  # keeps the cos table within ~32 MiB
 
     def g_minus_one(u, v):
-        deltas = np.subtract.outer(u, v).ravel()
-        out = np.empty(deltas.size)
-        for s in range(0, deltas.size, chunk):
-            out[s : s + chunk] = 2.0 * (np.cos(np.outer(deltas[s : s + chunk], two_pi_h)) @ w)
-        return out.reshape(u.size, v.size)
+        delta = np.subtract.outer(u, v)
+        out, t = np.zeros_like(delta), np.empty_like(delta)
+        for wk, ak in zip(w, two_pi_h):
+            np.cos(np.multiply(delta, ak, out=t), out=t)
+            t *= wk
+            out += t
+        return out
 
-    acc = _pair_sum(x, _incremental_kernel(g_minus_one), whole_blocks=True)
+    acc = _pair_sum(x, _incremental_kernel(g_minus_one))
     t2 = max(acc.value / (n * n), 0.0)
-    sigma_h = 1.0 + 2.0 * float(np.sum(w))
+    sigma_h = 1.0 + float(np.sum(w))
     bound = _SIGMA**d - sigma_h**d
     return math.sqrt(t2), bound

@@ -45,6 +45,9 @@ KINDS = MC_KINDS + ("diaphony",)
 # Samples per chunk. Partial sums are produced per chunk and combined in
 # chunk order, so the result is independent of how many workers ran them.
 _CHUNK = 1 << 16
+# Uniforms per sub-block of a chunk: a chunk of up to 2^16 two-corner samples
+# in d <= 4 is one sub-block.
+_DRAW_WORDS = 1 << 19
 
 _MIN_SAMPLES_FOR_STDERR = 100
 
@@ -68,17 +71,10 @@ class McConfig:
             raise ValueError("samples must be >= 1")
 
 
-@np.errstate(over="raise", invalid="raise")
-def _chunk_moments(pts: np.ndarray, cfg: McConfig, start_sample: int, count: int):
-    """(sum y, sum y^2) of the integrand over samples start..start+count-1.
-
-    Stream layout: sample s consumes positions [s*w, (s+1)*w) where w = d for
-    star and 2d otherwise; for two-corner kinds the first d values are corner
-    a, the next d corner b.
-    """
+def _sample_terms(pts: np.ndarray, cfg: McConfig, u: np.ndarray) -> np.ndarray:
+    """|D|^p of the samples whose uniforms are the rows of u: d of them for
+    star, corner a then corner b for the two-corner kinds."""
     n, d = pts.shape
-    width = d if cfg.kind == "star" else 2 * d
-    u = uniform01(cfg.seed, start_sample * width, count * width).reshape(count, width)
     if cfg.kind == "star":
         lo, hi = None, u
         vol = u.prod(axis=1)
@@ -90,7 +86,27 @@ def _chunk_moments(pts: np.ndarray, cfg: McConfig, start_sample: int, count: int
             lo, hi = a, b
         vol = (hi - lo + (lo > hi)).prod(axis=1)
     delta = _count_in_boxes(pts, lo, hi) - n * vol
-    y = np.abs(delta) ** cfg.p
+    return np.abs(delta) ** cfg.p
+
+
+@np.errstate(over="raise", invalid="raise")
+def _chunk_moments(pts: np.ndarray, cfg: McConfig, start_sample: int, count: int):
+    """(sum y, sum y^2) of the integrand over samples start..start+count-1.
+
+    Stream layout: sample s consumes positions [s*w, (s+1)*w) where w = d for
+    star and 2d otherwise. Samples go through `_sample_terms` in sub-blocks of
+    at most _DRAW_WORDS uniforms, so memory does not grow with d; a sample's
+    term depends on its own draws alone, and y is summed once.
+    """
+    d = pts.shape[1]
+    width = d if cfg.kind == "star" else 2 * d
+    step = max(1, _DRAW_WORDS // width)
+    ys = []
+    for s in range(start_sample, start_sample + count, step):
+        m = min(step, start_sample + count - s)
+        u = uniform01(cfg.seed, s * width, m * width).reshape(m, width)
+        ys.append(_sample_terms(pts, cfg, u))
+    y = np.concatenate(ys)
     if cfg.kind == "extreme":
         # min/max folding doubles the density per coordinate on {u <= v}
         y *= 2.0 ** (-d)

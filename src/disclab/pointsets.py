@@ -87,33 +87,6 @@ class PointSet:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Half-open axis-parallel box [u, v) with u <= v componentwise."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        u = np.atleast_1d(np.asarray(self.u, dtype=np.float64))
-        v = np.atleast_1d(np.asarray(self.v, dtype=np.float64))
-        if u.shape != v.shape or u.ndim != 1:
-            raise CoordinateError("box corners must be 1-d arrays of equal length")
-        if u.size and (u.min() < 0.0 or v.max() > 1.0 or np.any(u > v)):
-            raise CoordinateError("box requires 0 <= u <= v <= 1 componentwise")
-        u.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def d(self) -> int:
-        return self.u.size
-
-    def volume(self) -> float:
-        return float(np.prod(self.v - self.u))
-
-
-@dataclass(frozen=True)
 class PeriodicBox:
     """Axis-parallel box modulo one; corners need not be ordered.
 
@@ -130,8 +103,9 @@ class PeriodicBox:
         v = np.atleast_1d(np.asarray(self.v, dtype=np.float64))
         if u.shape != v.shape or u.ndim != 1:
             raise CoordinateError("box corners must be 1-d arrays of equal length")
-        if u.size and (min(u.min(), v.min()) < 0.0 or max(u.max(), v.max()) > 1.0):
-            raise CoordinateError("periodic box corners must lie in [0, 1]")
+        uv = np.concatenate((u, v))
+        if not np.all((uv >= 0.0) & (uv <= 1.0)):  # false for NaN too
+            raise CoordinateError("box corners must be finite and lie in [0, 1]")
         u.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "u", u)
@@ -144,6 +118,16 @@ class PeriodicBox:
     def volume(self) -> float:
         wrap = self.u > self.v
         return float(np.prod(self.v - self.u + wrap))
+
+
+class Box(PeriodicBox):
+    """Half-open axis-parallel box [u, v): the periodic box whose corners
+    are ordered, u <= v componentwise, so no coordinate wraps."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if np.any(self.u > self.v):
+            raise CoordinateError("box requires u <= v componentwise")
 
 
 METHOD_CLOSED_FORM = "exact-closed-form"
@@ -264,7 +248,7 @@ def _ordered_map(fn, items: list, threads: int = 0) -> list:
     return [fn(item) for item in items]
 
 
-def count_points(points: PointSet, box: Box | PeriodicBox) -> int:
+def count_points(points: PointSet, box: PeriodicBox) -> int:
     """Number of points inside the box, with exact half-open boundaries."""
     if points.d != box.d:
         raise DimensionMismatchError(
@@ -273,7 +257,7 @@ def count_points(points: PointSet, box: Box | PeriodicBox) -> int:
     return int(_count_in_boxes(points.coords, box.u[None, :], box.v[None, :])[0])
 
 
-def local_discrepancy(points: PointSet, box: Box | PeriodicBox) -> float:
+def local_discrepancy(points: PointSet, box: PeriodicBox) -> float:
     """Signed deviation of the box count from its expectation:
     count - n * volume. Lies in [-n, n]."""
     return count_points(points, box) - points.n * box.volume()

@@ -278,7 +278,7 @@ def test_pair_sum_equals_whole_block_comp_sums(monkeypatch, d, threads):
     assert exact_l2._pair_sum(x, block_fn, g).parts == _whole_block_pair_sum(x, block_fn, g)
 
 
-@pytest.mark.parametrize("fn", [star_l2, periodic_l2])
+@pytest.mark.parametrize("fn", [star_l2, periodic_l2, lambda p: diaphony_truncated(p, 8)])
 def test_pair_sum_memory_stays_small_at_one_worker(monkeypatch, fn):
     # a whole 1024 x 1024 block and comp_sum's temporaries took 24-32 MiB;
     # strips leave the level-error buffers, 8 MiB, and a few strips
@@ -291,6 +291,26 @@ def test_pair_sum_memory_stays_small_at_one_worker(monkeypatch, fn):
     finally:
         tracemalloc.stop()
     assert peak < 12 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_truncated_kernel_rows_do_not_depend_on_the_slice(monkeypatch):
+    # strip_sum builds a block a few rows at a time, so a row of the kernel
+    # must come out the same whether it is built alone, in a strip or in the
+    # whole block; a BLAS matrix-vector product over h does not
+    kernels = []
+
+    def spy(x, block_fn, g=None):
+        kernels.append(block_fn)
+        return real(x, block_fn, g)
+
+    real = exact_l2._pair_sum
+    monkeypatch.setattr(exact_l2, "_pair_sum", spy)
+    x = random_point_set(300, 2, 7).coords
+    diaphony_truncated(PointSet(x), 64)
+    (block_fn,) = kernels
+    whole = block_fn(x, x)
+    for r0, r1 in [(0, 1), (5, 6), (0, 32), (32, 64), (100, 137), (299, 300), (1, 300)]:
+        assert np.array_equal(block_fn(x[r0:r1], x), whole[r0:r1]), (r0, r1)
 
 
 def test_truncated_diaphony_multiblock_bits_do_not_depend_on_thread_cap(monkeypatch):

@@ -27,6 +27,7 @@ from disclab import (
     star_l2,
     uniform01,
 )
+from disclab import lp_oracle
 from disclab.pointsets import (
     METHOD_CLOSED_FORM,
     METHOD_GRID_ENUM,
@@ -81,11 +82,11 @@ def test_mc_independent_of_thread_count():
     assert (one.value, one.stderr) == (two.value, two.stderr)
 
 
-def _chunk_peak_bytes(n: int) -> int:
-    p = random_point_set(n, 2, 8)
+def _chunk_peak_bytes(n: int, d: int = 2, kind: str = "extreme") -> int:
+    p = random_point_set(n, d, 8)
     tracemalloc.start()
     try:
-        mc_lp(p, McConfig("extreme", 1.5, 1 << 16, 1, threads=1))
+        mc_lp(p, McConfig(kind, 1.5, 1 << 16, 1, threads=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -104,6 +105,30 @@ def test_mc_chunk_memory_is_bounded_at_n_2_14():
     # four point groups; one 65536 x 2^14 boolean mask would take 1 GiB
     peak = _chunk_peak_bytes(1 << 14)
     assert peak < 32 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("kind", ["star", "extreme"])
+def test_mc_chunk_memory_is_bounded_in_d(kind):
+    # a whole chunk's uniforms at d = 50 are 65536 x 100 doubles, 50 MiB, and
+    # the corners and volumes derived from them took the peak to 150 MiB
+    peak = _chunk_peak_bytes(64, 50, kind)
+    assert peak < 32 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mc_sub_blocks_do_not_change_bits(monkeypatch, d):
+    p = random_point_set(40, d, 5)
+    samples = (1 << 16) + 3000  # two chunks, the second ragged
+    want = {
+        (kind, t): mc_lp(p, McConfig(kind, 1.5, samples, 4, threads=t))
+        for kind in ("star", "extreme", "periodic")
+        for t in (1, 2)
+    }
+    # 1000 words split a chunk into sub-blocks of 166-500 samples, none of
+    # which divides 2^16
+    monkeypatch.setattr(lp_oracle, "_DRAW_WORDS", 1000)
+    for (kind, t), est in want.items():
+        assert mc_lp(p, McConfig(kind, 1.5, samples, 4, threads=t)) == est, (kind, t)
 
 
 def test_mc_overflow_is_guard_error():

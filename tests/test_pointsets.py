@@ -252,6 +252,23 @@ def test_periodic_box_corner_validation():
     PeriodicBox(np.array([0.9]), np.array([0.1]))  # unordered corners are fine
 
 
+@pytest.mark.parametrize("cls", [Box, PeriodicBox])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("corner", ["u", "v"])
+def test_box_refuses_non_finite_corners(cls, bad, corner):
+    # a NaN corner used to pass the range check and count -4 points
+    corners = {"u": np.array([0.25, 0.0]), "v": np.array([0.5, 1.0])}
+    corners[corner][1] = bad
+    with pytest.raises(CoordinateError, match="finite"):
+        cls(corners["u"], corners["v"])
+
+
+def test_box_is_the_periodic_box_with_ordered_corners():
+    box = Box(np.array([0.1, 0.2]), np.array([0.5, 0.9]))
+    assert isinstance(box, PeriodicBox)
+    assert box.volume() == float(np.prod(box.v - box.u))
+
+
 def test_estimate_stderr_tied_to_method():
     from disclab import Estimate
 
