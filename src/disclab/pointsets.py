@@ -40,14 +40,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """Ordered multiset of points in [0,1)^d.
 
     The coordinate array is (n, d), float64, and frozen after construction.
     Order is preserved: prefix extraction and the lifting construction rely
     on it. n == 0 is allowed for construction and IO but rejected by every
-    discrepancy evaluation.
+    discrepancy evaluation. Point sets, like boxes, compare and hash by
+    identity (a generated `__eq__` would compare arrays inside tuples).
     """
 
     coords: np.ndarray
@@ -86,7 +87,7 @@ class PointSet:
             raise DimensionMismatchError(f"point set has d={self.d}, expected d={d}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicBox:
     """Axis-parallel box modulo one; corners need not be ordered.
 

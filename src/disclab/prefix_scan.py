@@ -1,4 +1,5 @@
-"""Incremental per-prefix discrepancies of a one-dimensional sequence.
+"""Per-prefix discrepancies of a one-dimensional sequence, for every prefix
+length at once.
 
 Dense scans (every prefix length up to some maximum) would cost O(N^3 d) with
 the direct closed forms. In one dimension all four pair kernels reduce to
@@ -7,9 +8,11 @@ order statistics:
     sum_{k,l} max(x_k, x_l),  sum_{k,l} min(x_k, x_l),
     sum over unordered pairs of |x_k - x_l|,
 
-and each of those updates in O(log N) per inserted point with a pair of
-Fenwick trees over the value ranks (ranks are assigned offline against the
-full scan, so insertion order does not matter). From the running sums:
+and each grows, as point i joins, by a term built from the count and the
+x-sum of the earlier points of smaller rank. Those two are found offline for
+the whole sequence with one numpy pass per bit of the value rank (ranks are
+stable, so ties count as below), O(N log N) in all; the per-point terms are
+then running sums. From the running sums:
 
     star^2     = n sum x^2 - SUM_max + n^2/3
     extreme^2  = (SUM_min - (sum x)^2) - n (sum x - sum x^2) + n^2/12
@@ -20,9 +23,14 @@ The periodic identity uses that {delta} + {-delta} = 1 off the diagonal and
 {delta}^2 + {-delta}^2 = 2 delta^2 - 2|delta| + 1 per unordered pair, which
 collapses the Bernoulli kernel into the three tracked sums.
 
-Running sums are kept in compensated accumulators; the residual error of a
-prefix value is O(eps * n^2), i.e. about 1e-7 absolute at n = 2^16, ample
-for scan and envelope work (the full-accuracy path is `exact_l2`).
+Running sums are compensated: a plain cumsum plus the cumsum of each step's
+exact TwoSum error (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005)),
+the same (value, compensation) pair a `KernelAccumulator` holds. Every sum
+is formed in the order a per-point engine (Fenwick trees over the ranks, one
+accumulator per running sum) forms it, so the values are that engine's, bit
+for bit, on any input. The residual error of a prefix value is
+O(eps * n^2), i.e. about 1e-7 absolute at n = 2^16, ample for scan and
+envelope work (the full-accuracy path is `exact_l2`).
 """
 
 from __future__ import annotations
@@ -33,33 +41,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .pointsets import PointSet
-from .summation import KernelAccumulator
 
 __all__ = ["prefix_discrepancies"]
 
 _KINDS = ("star", "extreme", "periodic", "diaphony")
-
-
-class _Fenwick:
-    __slots__ = ("n", "tree")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.tree = [0.0] * (n + 1)
-
-    def add(self, i: int, v: float) -> None:
-        t = self.tree
-        while i <= self.n:
-            t[i] += v
-            i += i & (-i)
-
-    def prefix(self, i: int) -> float:
-        s = 0.0
-        t = self.tree
-        while i > 0:
-            s += t[i]
-            i -= i & (-i)
-        return s
 
 
 def prefix_discrepancies(
@@ -77,51 +62,84 @@ def prefix_discrepancies(
         if k not in _KINDS:
             raise ValueError(f"unknown kind {k!r}")
     n_total = x.size
-    order = np.argsort(x, kind="stable")
-    rank = np.empty(n_total, dtype=np.int64)
-    rank[order] = np.arange(n_total)
+    c_below, s_below = _below(x)
+    sum_x = _running(x)
+    s_above = np.concatenate(([0.0], sum_x[:-1])) - s_below  # earlier points ranked above
+    c_above = np.arange(n_total) - c_below
+    # ties carry stable ranks, so an equal value inserted earlier lands in
+    # the "below" group, where max/min/absdiff treat it correctly
+    terms = {}
+    if "star" in kinds:
+        terms["max"] = 2.0 * (x * c_below + s_above) + x
+    if "extreme" in kinds:
+        terms["min"] = 2.0 * (s_below + x * c_above) + x
+    if "periodic" in kinds or "diaphony" in kinds:
+        terms["absdiff"] = (x * c_below - s_below) + (s_above - x * c_above)
+    del c_below, s_below, s_above, c_above
+    # each term array is freed as its running sum is formed: a lower peak
+    sums = {k: _running(terms.pop(k)) for k in list(terms)}
+    sum_x2 = _running(x * x)
+    n = np.arange(1.0, n_total + 1.0)
+    out = {}
+    if "max" in sums:
+        out["star"] = np.sqrt(np.maximum(n * sum_x2 - sums.pop("max") + n * n / 3.0, 0.0))
+    if "min" in sums:
+        sq = (sums.pop("min") - sum_x * sum_x) - n * (sum_x - sum_x2) + n * n / 12.0
+        out["extreme"] = np.sqrt(np.maximum(sq, 0.0))
+    if "absdiff" in sums:
+        b = 2.0 * (n * sum_x2 - sum_x * sum_x) - 2.0 * sums.pop("absdiff") + n * n / 6.0
+        b = np.maximum(b, 0.0)
+        out["periodic"] = np.sqrt(b)
+        out["diaphony"] = np.sqrt(2.0 * math.pi**2 * b) / n
+    return {k: out[k] for k in kinds}
 
-    counts = _Fenwick(n_total)
-    sums = _Fenwick(n_total)
-    sum_max = KernelAccumulator()
-    sum_min = KernelAccumulator()
-    sum_absdiff = KernelAccumulator()
-    sx = KernelAccumulator()
-    sx2 = KernelAccumulator()
-    out = {k: np.zeros(n_total) for k in kinds}
-    two_pi_sq = 2.0 * math.pi**2
 
-    for i in range(n_total):
-        xv = float(x[i])
-        r = int(rank[i]) + 1
-        c_below = counts.prefix(r - 1)
-        s_below = sums.prefix(r - 1)
-        s_all = sx.value
-        c_above = i - c_below
-        s_above = s_all - s_below
-        # ties carry stable ranks, so an equal value inserted earlier lands
-        # in the "below" group, where max/min/absdiff treat it correctly
-        sum_max.add(2.0 * (xv * c_below + s_above) + xv)
-        sum_min.add(2.0 * (s_below + xv * c_above) + xv)
-        sum_absdiff.add((xv * c_below - s_below) + (s_above - xv * c_above))
-        sx.add(xv)
-        sx2.add(xv * xv)
-        counts.add(r, 1.0)
-        sums.add(r, xv)
+def _below(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point i, the count and the x-sum of the points j < i with
+    x[j] <= x[i]: those of smaller stable rank.
 
-        n = i + 1
-        sum_x, sum_x2 = sx.value, sx2.value
-        if "star" in out:
-            sq = n * sum_x2 - sum_max.value + n * n / 3.0
-            out["star"][i] = math.sqrt(max(sq, 0.0))
-        if "extreme" in out:
-            sq = (sum_min.value - sum_x * sum_x) - n * (sum_x - sum_x2) + n * n / 12.0
-            out["extreme"][i] = math.sqrt(max(sq, 0.0))
-        if "periodic" in out or "diaphony" in out:
-            b = 2.0 * (n * sum_x2 - sum_x * sum_x) - 2.0 * sum_absdiff.value + n * n / 6.0
-            b = max(b, 0.0)
-            if "periodic" in out:
-                out["periodic"][i] = math.sqrt(b)
-            if "diaphony" in out:
-                out["diaphony"][i] = math.sqrt(two_pi_sq * b) / n
-    return out
+    Such a pair is counted at the highest bit L where the two ranks differ:
+    they share the group rank >> (L+1), and j's bit L is 0 and i's is 1. The
+    sequence is padded to a power of two with points that come after every
+    real one, so the ranks of a group fill one row of 2^(L+1) slots. Level L
+    sorts each row by time, which merges the two sorted rows of level L-1,
+    and credits each bit-1 point with the bit-0 points before it in its row.
+    A row's bit-0 block is a Fenwick node, summed in time order, and a
+    point's nodes are added lowest level first, as a Fenwick prefix query
+    adds them; so an x-sum rounds as it would in the tree, and no later
+    point's value enters it.
+    """
+    n = x.size
+    bits = max(n - 1, 0).bit_length()
+    size = 1 << bits
+    time = np.arange(size)  # the point of each rank; padding: time = rank >= n
+    time[:n] = np.argsort(x, kind="stable")
+    key = (time << bits) | np.arange(size)  # time, then rank in the low bits
+    del time
+    xp = np.zeros(size)
+    xp[:n] = x
+    count = np.zeros(size, dtype=np.int64)
+    total = np.zeros(size)
+    for level in range(bits):
+        width = 2 << level
+        # the two halves of a row are sorted runs: the stable sort merges them
+        key = np.sort(key.reshape(-1, width), axis=1, kind="stable").ravel()
+        time = key >> bits
+        low = (key & (1 << level)) == 0
+        hi = np.flatnonzero(~low)
+        dst = time[hi]
+        count[dst] += np.cumsum(low.reshape(-1, width), axis=1).ravel()[hi]
+        xs = np.where(low, xp[time], 0.0)
+        del time, low
+        total[dst] += np.cumsum(xs.reshape(-1, width), axis=1).ravel()[hi]
+    return count[:n].astype(np.float64), total[:n]
+
+
+def _running(t: np.ndarray) -> np.ndarray:
+    """Compensated running sums: entry i is, bit for bit, the value of a
+    `KernelAccumulator` after adding t[0], ..., t[i]. Its value is the plain
+    cumsum; its compensation is the cumsum of each step's exact TwoSum error."""
+    s = np.cumsum(t)
+    prev = np.concatenate(([0.0], s[:-1]))
+    bv = s - prev
+    return s + np.cumsum((prev - (s - bv)) + (t - bv))

@@ -279,3 +279,16 @@ def test_estimate_stderr_tied_to_method():
     with pytest.raises(ValueError):
         Estimate("star", 2.0, -0.5, "exact-closed-form", 1, 1)
     Estimate("star", 2.0, 0.5, "monte-carlo", 1, 1, stderr=0.01, samples=1000, seed=3)
+
+
+def test_point_sets_and_boxes_compare_and_hash_by_identity():
+    made = [
+        lambda: PointSet(np.array([[0.1, 0.2], [0.3, 0.4]])),
+        lambda: Box([0.1, 0.2], [0.5, 0.9]),
+        lambda: PeriodicBox([0.5, 0.2], [0.1, 0.9]),
+    ]
+    for make in made:
+        a, b = make(), make()
+        assert a == a and hash(a) == hash(a)
+        assert a != b
+        assert len({a, b, a}) == 2
