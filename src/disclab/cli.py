@@ -190,9 +190,7 @@ def _cmd_oracle(args) -> int:
     p = _parse_p(args.p)
     if math.isinf(p):
         raise DisclabError("the Monte Carlo oracle requires finite p; use compute for p=inf")
-    cfg = McConfig(kind=args.kind, p=p, samples=args.samples, seed=args.seed,
-                   threads=args.threads)
-    est = mc_lp(pts, cfg)
+    est = mc_lp(pts, McConfig(args.samples, args.seed, args.threads), args.kind, p)
     _write(_estimate_json(est) + "\n", args.out)
     return 0
 
@@ -201,9 +199,7 @@ def _cmd_scan(args) -> int:
     gen = _make_generator(args)
     ns = _parse_ns(args.ns)
     p = _parse_p(args.p)
-    mc = None
-    if args.samples and args.kind != "diaphony":
-        mc = McConfig(kind=args.kind, p=p, samples=args.samples, seed=args.seed)
+    mc = McConfig(args.samples, args.seed) if args.samples else None
     try:
         result = growth_scan(gen, args.kind, p, ns, mc)
     except MonteCarloRequired:

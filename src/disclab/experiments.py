@@ -8,7 +8,7 @@ CLI can emit them as JSON and the test suite can assert on the fields.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -207,7 +207,7 @@ def prefix_transference_verify(
         assert mc is not None
         # max keeps the first n that reaches the maximum, and its stderr
         best, best_se = max(values.values(), key=lambda v_se: v_se[0])
-        est = mc_lp(lift(full, n_max), McConfig("extreme", p, mc.samples, mc.seed))
+        est = mc_lp(lift(full, n_max), mc, "extreme", p)
         rhs = 2.0 ** (1.0 / p - 1.0) * est.value - 2.0 ** (-d / p)
         sigma = 3.0 * math.hypot(best_se, (est.stderr or 0.0) * 2.0 ** (1.0 / p - 1.0))
         cases.append(
@@ -250,7 +250,7 @@ def _scan_values(
         return {n: (float(vals[n - 1]), 0.0) for n in ns}
     values = {}
     for n in ns:
-        cfg = None if mc is None else McConfig(kind, p, mc.samples, mc.seed + n)
+        cfg = None if mc is None else replace(mc, seed=mc.seed + n)
         est = estimate(full.prefix(n), kind, p, cfg)
         values[n] = (est.value, est.stderr or 0.0)
     return values
@@ -365,8 +365,8 @@ def _vdc_constant_checks(rep: VdcConstantReport) -> dict[str, bool]:
     }
 
 
-def vdc_star_constant(max_n: int, n_min: int = 2, base: int = 2) -> VdcConstantReport:
-    """Scan star L2 of every radical-inverse prefix up to max_n.
+def vdc_star_constant(max_n: int, n_min: int = 2) -> VdcConstantReport:
+    """Scan star L2 of every binary radical-inverse prefix up to max_n.
 
     Reports sup over n in [n_min, max_n] of value / log n together with the
     n attaining it, per-octave window sups, running sups at dyadic
@@ -380,7 +380,7 @@ def vdc_star_constant(max_n: int, n_min: int = 2, base: int = 2) -> VdcConstantR
     if max_n < 16:
         raise ValueError("max_n must be >= 16")
     n_min = max(2, n_min)
-    vals = prefix_discrepancies(prefix(VanDerCorput(base), max_n), kinds=("star",))["star"]
+    vals = prefix_discrepancies(prefix(VanDerCorput(2), max_n), kinds=("star",))["star"]
     ns = np.arange(1, max_n + 1)
     sel = ns >= n_min
     ratio = vals[sel] / np.log(ns[sel])
@@ -421,7 +421,7 @@ def vdc_star_constant(max_n: int, n_min: int = 2, base: int = 2) -> VdcConstantR
     )
 
 
-def vdc_exponent_report(max_n: int = 1 << 16, first_checkpoint: int = 64) -> dict:
+def vdc_exponent_report(max_n: int = 1 << 16) -> dict:
     """Fitted growth exponents for the binary radical-inverse sequence.
 
     One dense prefix scan supplies star and extreme L2 and n * diaphony for
@@ -433,13 +433,8 @@ def vdc_exponent_report(max_n: int = 1 << 16, first_checkpoint: int = 64) -> dic
     kinds = ("star", "extreme", "diaphony")
     vals = prefix_discrepancies(prefix(VanDerCorput(2), max_n), kinds=kinds)
     ns = np.arange(1, max_n + 1, dtype=np.float64)
-    out: dict = {"max_n": max_n, "checkpoints": [], "fits": {}}
-    cps = [
-        2**k
-        for k in range(first_checkpoint.bit_length() - 1, max_n.bit_length() + 1)
-        if first_checkpoint <= 2**k <= max_n
-    ]
-    out["checkpoints"] = cps
+    cps = [2**k for k in range(6, max_n.bit_length())]  # 64, 128, ... <= max_n
+    out: dict = {"max_n": max_n, "checkpoints": cps, "fits": {}}
     for kind in kinds:
         series = vals[kind] * (ns if kind == "diaphony" else 1.0)
         env = np.maximum.accumulate(series)

@@ -11,6 +11,7 @@ included.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,43 +55,43 @@ _MIN_SAMPLES_FOR_STDERR = 100
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo estimator configuration."""
+    """How to sample a Monte Carlo estimate: the sample count, the stream
+    seed and the worker threads. What to estimate, kind and p, is passed
+    next to it, to `mc_lp` or `estimate`."""
 
-    kind: str
-    p: float
     samples: int
     seed: int
     threads: int = 0  # 0: take DISCLAB_THREADS, else cpu count
 
     def __post_init__(self) -> None:
-        if self.kind not in MC_KINDS:
-            raise ValueError(f"kind must be one of {MC_KINDS}, got {self.kind!r}")
-        if not (1.0 <= self.p < math.inf):
-            raise ValueError("p must be finite and >= 1; use the linf operations for p=inf")
+        for name in ("samples", "seed", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 
 
-def _sample_terms(pts: np.ndarray, cfg: McConfig, u: np.ndarray) -> np.ndarray:
+def _sample_terms(pts: np.ndarray, kind: str, p: float, u: np.ndarray) -> np.ndarray:
     """|D|^p of the samples whose uniforms are the rows of u: d of them for
     star, corner a then corner b for the two-corner kinds."""
     n, d = pts.shape
-    if cfg.kind == "star":
+    if kind == "star":
         lo, hi = None, u
         vol = u.prod(axis=1)
     else:
         a, b = u[:, :d], u[:, d:]
-        if cfg.kind == "extreme":
+        if kind == "extreme":
             lo, hi = np.minimum(a, b), np.maximum(a, b)
         else:  # periodic: unordered corners wrap where a > b
             lo, hi = a, b
         vol = (hi - lo + (lo > hi)).prod(axis=1)
     delta = _count_in_boxes(pts, lo, hi) - n * vol
-    return np.abs(delta) ** cfg.p
+    return np.abs(delta) ** p
 
 
 @np.errstate(over="raise", invalid="raise")
-def _chunk_moments(pts: np.ndarray, cfg: McConfig, start_sample: int, count: int):
+def _chunk_moments(pts: np.ndarray, kind: str, p: float, seed: int, start: int, count: int):
     """(sum y, sum y^2) of the integrand over samples start..start+count-1.
 
     Stream layout: sample s consumes positions [s*w, (s+1)*w) where w = d for
@@ -99,22 +100,22 @@ def _chunk_moments(pts: np.ndarray, cfg: McConfig, start_sample: int, count: int
     term depends on its own draws alone, and y is summed once.
     """
     d = pts.shape[1]
-    width = d if cfg.kind == "star" else 2 * d
+    width = d if kind == "star" else 2 * d
     step = max(1, _DRAW_WORDS // width)
     ys = []
-    for s in range(start_sample, start_sample + count, step):
-        m = min(step, start_sample + count - s)
-        u = uniform01(cfg.seed, s * width, m * width).reshape(m, width)
-        ys.append(_sample_terms(pts, cfg, u))
+    for s in range(start, start + count, step):
+        m = min(step, start + count - s)
+        u = uniform01(seed, s * width, m * width).reshape(m, width)
+        ys.append(_sample_terms(pts, kind, p, u))
     y = np.concatenate(ys)
-    if cfg.kind == "extreme":
+    if kind == "extreme":
         # min/max folding doubles the density per coordinate on {u <= v}
         y *= 2.0 ** (-d)
     return float(y.sum()), float((y * y).sum())
 
 
-def mc_lp(points: PointSet, cfg: McConfig) -> Estimate:
-    """Monte Carlo L_p discrepancy estimate.
+def mc_lp(points: PointSet, mc: McConfig, kind: str, p: float) -> Estimate:
+    """Monte Carlo estimate of the `kind` L_p discrepancy, sampled as `mc` says.
 
     star samples anchored corners t; extreme samples two corners and folds
     them with componentwise min/max (the integral over the ordered region
@@ -124,35 +125,37 @@ def mc_lp(points: PointSet, cfg: McConfig) -> Estimate:
     method. Reproducible: seed and sample count determine the result bit for
     bit, independent of thread count.
     """
+    if kind not in MC_KINDS:
+        raise ValueError(f"kind must be one of {MC_KINDS}, got {kind!r}")
+    if not (1.0 <= p < math.inf):
+        raise ValueError("p must be finite and >= 1; use the linf operations for p=inf")
     points.require_nonempty()
     pts = points.coords
     n, d = pts.shape
-    starts = list(range(0, cfg.samples, _CHUNK))
-    jobs = [(s, min(_CHUNK, cfg.samples - s)) for s in starts]
+    jobs = [(s, min(_CHUNK, mc.samples - s)) for s in range(0, mc.samples, _CHUNK)]
     try:
-        results = _ordered_map(lambda j: _chunk_moments(pts, cfg, *j), jobs, cfg.threads)
-        mean = math.fsum(r[0] for r in results) / cfg.samples
-        mean_sq = math.fsum(r[1] for r in results) / cfg.samples
+        results = _ordered_map(lambda j: _chunk_moments(pts, kind, p, mc.seed, *j), jobs,
+                               mc.threads)
+        mean = math.fsum(r[0] for r in results) / mc.samples
+        mean_sq = math.fsum(r[1] for r in results) / mc.samples
     except ArithmeticError:  # |D|^p, its square or a sum left the double range
-        raise GuardError(
-            f"Monte Carlo {cfg.kind} L_{cfg.p:g} overflows a double at n={n}"
-        ) from None
-    value = mean ** (1.0 / cfg.p)
+        raise GuardError(f"Monte Carlo {kind} L_{p:g} overflows a double at n={n}") from None
+    value = mean ** (1.0 / p)
     stderr = 0.0
-    if cfg.samples >= _MIN_SAMPLES_FOR_STDERR and mean > 0.0:
-        var = max(mean_sq - mean * mean, 0.0) * cfg.samples / (cfg.samples - 1)
-        se_mean = math.sqrt(var / cfg.samples)
-        stderr = se_mean * value / (cfg.p * mean)
+    if mc.samples >= _MIN_SAMPLES_FOR_STDERR and mean > 0.0:
+        var = max(mean_sq - mean * mean, 0.0) * mc.samples / (mc.samples - 1)
+        se_mean = math.sqrt(var / mc.samples)
+        stderr = se_mean * value / (p * mean)
     return Estimate(
-        kind=cfg.kind,
-        p=cfg.p,
+        kind=kind,
+        p=p,
         value=value,
         method=METHOD_MONTE_CARLO,
         n=n,
         d=d,
         stderr=stderr,
-        samples=cfg.samples,
-        seed=cfg.seed,
+        samples=mc.samples,
+        seed=mc.seed,
         rng=PRNG_NAME,
     )
 
@@ -371,9 +374,11 @@ def estimate(points: PointSet, kind: str, p: float, mc: McConfig | None = None) 
     - diaphony: its closed form, p = 2 only;
     - p = 2: the `exact_l2` closed form;
     - d = 1, star or extreme: piecewise-exact integration;
-    - otherwise Monte Carlo with `mc`; without it, MonteCarloRequired.
+    - otherwise `mc_lp(points, mc, kind, p)`, which samples as `mc` says;
+      without `mc`, MonteCarloRequired.
 
-    An unknown kind is a DisclabError that names the valid ones.
+    The Estimate carries kind and p as given. An unknown kind is a
+    DisclabError that names the valid ones.
     """
     if kind not in KINDS:
         raise DisclabError(f"unknown kind {kind!r}; valid kinds are {', '.join(KINDS)}")
@@ -399,4 +404,4 @@ def estimate(points: PointSet, kind: str, p: float, mc: McConfig | None = None) 
             "exact evaluation for p not in {2, inf} exists only for star/extreme "
             "in d=1; use the oracle subcommand"
         )
-    return mc_lp(points, mc)
+    return mc_lp(points, mc, kind, p)

@@ -85,7 +85,7 @@ def test_acceptance_oracle_agreement():
         for i in range(20):
             p = random_point_set(32, d, 9000 + 97 * d + i)
             for kind, fn in exact.items():
-                est = mc_lp(p, McConfig(kind, 2.0, 10**6, 5000 + total))
+                est = mc_lp(p, McConfig(10**6, 5000 + total), kind, 2.0)
                 z = abs(est.value - fn(p)) / est.stderr
                 worst_z = max(worst_z, z)
                 exceed += z > 3.0
@@ -230,7 +230,7 @@ def test_acceptance_vdc_star_constant_monotone():
 
 @pytest.fixture(scope="module")
 def exponent_report():
-    return vdc_exponent_report(max_n=1 << 16, first_checkpoint=64)
+    return vdc_exponent_report(max_n=1 << 16)
 
 
 def test_acceptance_growth_exponent_extreme(exponent_report):

@@ -149,6 +149,19 @@ def test_scan_diaphony_refuses_p_not_2_as_compute_does(tmp_path, seq):
     )
 
 
+@pytest.mark.parametrize("seq", ["vdc", "halton"])
+def test_scan_diaphony_with_samples_is_the_exact_scan(seq, capsys):
+    # diaphony has one evaluator, its p = 2 closed form: --samples changes nothing
+    scan = ["scan", "--seq", seq, "--kind", "diaphony", "--ns", "4,8,16"]
+    assert main([*scan, "--p", "2"]) == 0
+    exact = capsys.readouterr().out
+    assert main([*scan, "--p", "2", "--samples", "1000"]) == 0
+    assert capsys.readouterr().out == exact
+    assert main([*scan, "--p", "3", "--samples", "1000"]) == 1
+    assert capsys.readouterr() == ("", "disclab: error: diaphony is a quadratic quantity; "
+                                       "use --p 2\n")
+
+
 def test_scan_without_samples_names_the_samples_flag():
     # p != 2 in d >= 2 has no exact evaluator; scan's remedy is --samples N
     r = run_cli("scan", "--seq", "halton", "--kind", "extreme", "--p", "1.5", "--ns", "4,8")

@@ -82,13 +82,13 @@ def test_closed_forms_match_piecewise_oracle(n):
 
 def test_extreme_matches_mc_oracle_d2():
     p = random_point_set(32, 2, 2024)
-    est = mc_lp(p, McConfig("extreme", 2.0, 10**6, 99))
+    est = mc_lp(p, McConfig(10**6, 99), "extreme", 2.0)
     assert abs(est.value - extreme_l2(p)) <= 3.0 * est.stderr
 
 
 def test_periodic_matches_mc_oracle_d2():
     p = random_point_set(32, 2, 2025)
-    est = mc_lp(p, McConfig("periodic", 2.0, 10**6, 98))
+    est = mc_lp(p, McConfig(10**6, 98), "periodic", 2.0)
     assert abs(est.value - periodic_l2(p)) <= 3.0 * est.stderr
 
 

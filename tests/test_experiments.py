@@ -72,14 +72,14 @@ def test_prefix_transference_cap():
 
 def test_prefix_transference_mc_variant():
     rep = prefix_transference_verify(
-        Halton((2, 3)), 8, p=1.5, mc=McConfig("extreme", 1.5, 20_000, 3)
+        Halton((2, 3)), 8, p=1.5, mc=McConfig(20_000, 3)
     )
     assert rep.passed
 
 
 @pytest.mark.parametrize("gen", [VanDerCorput(2), Halton((2, 3))])
 def test_prefix_transference_mc_matches_per_prefix_loop(gen):
-    p, n_max, mc = 1.5, 8, McConfig("extreme", 1.5, 20_000, 3)
+    p, n_max, mc = 1.5, 8, McConfig(20_000, 3)
     (case,) = prefix_transference_verify(gen, n_max, p=p, mc=mc).cases
     # reference: one evaluator call per prefix, keeping the first maximum
     full = prefix(gen, n_max)
@@ -89,11 +89,11 @@ def test_prefix_transference_mc_matches_per_prefix_loop(gen):
         if gen.d == 1:
             v, se = exact_lp_1d(pf, "extreme", p), 0.0
         else:
-            est = mc_lp(pf, McConfig("extreme", p, mc.samples, mc.seed + n))
+            est = mc_lp(pf, McConfig(mc.samples, mc.seed + n), "extreme", p)
             v, se = est.value, est.stderr or 0.0
         if v > best:
             best, best_se = v, se
-    est = mc_lp(lift(full, n_max), McConfig("extreme", p, mc.samples, mc.seed))
+    est = mc_lp(lift(full, n_max), McConfig(mc.samples, mc.seed), "extreme", p)
     rhs = 2.0 ** (1.0 / p - 1.0) * est.value - 2.0 ** (-gen.d / p)
     sigma = 3.0 * math.hypot(best_se, (est.stderr or 0.0) * 2.0 ** (1.0 / p - 1.0))
     assert (case.lhs, case.rhs, case.meta["three_sigma"]) == (best, rhs, sigma)
@@ -174,7 +174,7 @@ def test_vdc_star_constant_report():
 
 
 def test_vdc_exponent_report_shape():
-    rep = vdc_exponent_report(max_n=4096, first_checkpoint=64)
+    rep = vdc_exponent_report(max_n=4096)
     assert set(rep["fits"]) == {"star", "extreme", "n_diaphony"}
     for fit in rep["fits"].values():
         assert 0.0 < fit["alpha"] < 1.2

@@ -46,39 +46,39 @@ def pset(rows):
 
 
 def test_mc_extreme_singleton_identity():
-    est = mc_lp(pset([[0.5]]), McConfig("extreme", 2.0, 10**6, 1))
+    est = mc_lp(pset([[0.5]]), McConfig(10**6, 1), "extreme", 2.0)
     assert abs(est.value - 12.0**-0.5) <= 3.0 * est.stderr
     assert est.method == "monte-carlo" and est.samples == 10**6 and est.seed == 1
 
 
 def test_mc_star_origin_identity():
-    est = mc_lp(pset([[0.0]]), McConfig("star", 2.0, 10**6, 2))
+    est = mc_lp(pset([[0.0]]), McConfig(10**6, 2), "star", 2.0)
     assert abs(est.value - 3.0**-0.5) <= 3.0 * est.stderr
 
 
 def test_mc_matches_exact_p3():
     p = prefix(VanDerCorput(2), 64)
     exact = exact_lp_1d(p, "extreme", 3.0)
-    est = mc_lp(p, McConfig("extreme", 3.0, 10**6, 3))
+    est = mc_lp(p, McConfig(10**6, 3), "extreme", 3.0)
     assert abs(est.value - exact) <= 3.0 * est.stderr
 
 
 def test_mc_bitwise_reproducible():
     p = random_point_set(16, 2, 5)
-    a = mc_lp(p, McConfig("periodic", 1.5, 50_000, 77))
-    b = mc_lp(p, McConfig("periodic", 1.5, 50_000, 77))
+    a = mc_lp(p, McConfig(50_000, 77), "periodic", 1.5)
+    b = mc_lp(p, McConfig(50_000, 77), "periodic", 1.5)
     assert (a.value, a.stderr) == (b.value, b.stderr)
 
 
 def test_mc_independent_of_thread_count():
     p = random_point_set(16, 3, 6)
-    one = mc_lp(p, McConfig("extreme", 2.0, 200_000, 9, threads=1))
-    four = mc_lp(p, McConfig("extreme", 2.0, 200_000, 9, threads=4))
+    one = mc_lp(p, McConfig(200_000, 9, threads=1), "extreme", 2.0)
+    four = mc_lp(p, McConfig(200_000, 9, threads=4), "extreme", 2.0)
     assert (one.value, one.stderr) == (four.value, four.stderr)
     # n = 3000 gives bitset row blocks of 697 boxes, which do not divide a chunk
     p = random_point_set(3000, 2, 7)
-    one = mc_lp(p, McConfig("periodic", 1.5, (1 << 16) + 1000, 10, threads=1))
-    two = mc_lp(p, McConfig("periodic", 1.5, (1 << 16) + 1000, 10, threads=2))
+    one = mc_lp(p, McConfig((1 << 16) + 1000, 10, threads=1), "periodic", 1.5)
+    two = mc_lp(p, McConfig((1 << 16) + 1000, 10, threads=2), "periodic", 1.5)
     assert (one.value, one.stderr) == (two.value, two.stderr)
 
 
@@ -86,7 +86,7 @@ def _chunk_peak_bytes(n: int, d: int = 2, kind: str = "extreme") -> int:
     p = random_point_set(n, d, 8)
     tracemalloc.start()
     try:
-        mc_lp(p, McConfig(kind, 1.5, 1 << 16, 1, threads=1))
+        mc_lp(p, McConfig(1 << 16, 1, threads=1), kind, 1.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -120,7 +120,7 @@ def test_mc_sub_blocks_do_not_change_bits(monkeypatch, d):
     p = random_point_set(40, d, 5)
     samples = (1 << 16) + 3000  # two chunks, the second ragged
     want = {
-        (kind, t): mc_lp(p, McConfig(kind, 1.5, samples, 4, threads=t))
+        (kind, t): mc_lp(p, McConfig(samples, 4, threads=t), kind, 1.5)
         for kind in ("star", "extreme", "periodic")
         for t in (1, 2)
     }
@@ -128,17 +128,17 @@ def test_mc_sub_blocks_do_not_change_bits(monkeypatch, d):
     # which divides 2^16
     monkeypatch.setattr(lp_oracle, "_DRAW_WORDS", 1000)
     for (kind, t), est in want.items():
-        assert mc_lp(p, McConfig(kind, 1.5, samples, 4, threads=t)) == est, (kind, t)
+        assert mc_lp(p, McConfig(samples, 4, threads=t), kind, 1.5) == est, (kind, t)
 
 
 def test_mc_overflow_is_guard_error():
     # |D|^p leaves the double range; the estimate must not print inf or nan
     p = prefix(VanDerCorput(), 50)
     with pytest.raises(GuardError, match="overflows"):
-        mc_lp(p, McConfig("periodic", 1e308, 100, 1))
+        mc_lp(p, McConfig(100, 1), "periodic", 1e308)
     with pytest.raises(GuardError, match="overflows"):
-        mc_lp(random_point_set(50, 2, 3), McConfig("extreme", 400.0, 70_000, 1, threads=2))
-    est = mc_lp(p, McConfig("star", 150.0, 100, 1))
+        mc_lp(random_point_set(50, 2, 3), McConfig(70_000, 1, threads=2), "extreme", 400.0)
+    est = mc_lp(p, McConfig(100, 1), "star", 150.0)
     assert math.isfinite(est.value) and math.isfinite(est.stderr)
 
 
@@ -147,19 +147,31 @@ def test_mc_stderr_halves_when_samples_double():
     p = random_point_set(8, 1, 30)
     base = 2000
     ses = [
-        mc_lp(p, McConfig("star", 2.0, base << k, 123)).stderr for k in range(9)
+        mc_lp(p, McConfig(base << k, 123), "star", 2.0).stderr for k in range(9)
     ]
     misses = sum(not (0.62 <= ses[k + 1] / ses[k] <= 0.80) for k in range(8))
     assert misses <= 1, f"se ratios {[ses[k + 1] / ses[k] for k in range(8)]}"
 
 
 def test_mc_rejects_infinite_p():
+    p, mc = pset([[0.5]]), McConfig(100, 1)
     with pytest.raises(ValueError):
-        McConfig("star", math.inf, 100, 1)
+        mc_lp(p, mc, "star", math.inf)
     with pytest.raises(ValueError):
-        McConfig("star", 0.5, 100, 1)
+        mc_lp(p, mc, "star", 0.5)
     with pytest.raises(ValueError):
-        McConfig("nope", 2.0, 100, 1)
+        mc_lp(p, mc, "nope", 2.0)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((1e5, 1), "samples"),
+    ((100, 1.0), "seed"),
+    ((100, 1, 2.0), "threads"),
+])
+def test_mc_config_rejects_non_integer_fields(args, field):
+    # a float used to reach range() or the seed mask as a TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        McConfig(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +188,7 @@ def test_exact_lp_1d_center_singleton():
 def test_exact_lp_1d_star_p1_matches_mc():
     p = pset([[0.0], [0.5]])
     exact = exact_lp_1d(p, "star", 1.0)
-    est = mc_lp(p, McConfig("star", 1.0, 10**6, 8))
+    est = mc_lp(p, McConfig(10**6, 8), "star", 1.0)
     assert abs(est.value - exact) <= 3.0 * est.stderr
 
 
@@ -395,14 +407,14 @@ def test_estimate_picks_one_evaluator_per_regime(p, d, kind, method, direct):
         with pytest.raises(DisclabError):
             estimate(pts, kind, p)
         return
-    mc = McConfig(kind, p, 2000, 3) if method == METHOD_MONTE_CARLO else None
+    mc = McConfig(2000, 3) if method == METHOD_MONTE_CARLO else None
     est = estimate(pts, kind, p, mc)
     assert (est.kind, est.p, est.method, est.n, est.d) == (kind, p, method, pts.n, d)
     if mc is None:
         assert est.value == direct(pts)
         assert est.stderr is None
     else:
-        assert est == mc_lp(pts, mc)
+        assert est == mc_lp(pts, mc, kind, p)
         with pytest.raises(DisclabError, match="oracle"):
             estimate(pts, kind, p)
 

@@ -6,7 +6,18 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from disclab import Halton, estimate, exact_l2, prefix
+from disclab import (
+    Halton,
+    McConfig,
+    cli,
+    estimate,
+    exact_l2,
+    experiments,
+    lp_oracle,
+    prefix,
+    prefix_transference_verify,
+    write_points,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,3 +50,29 @@ def test_estimate_calls_the_closed_form_bound_in_exact_l2(monkeypatch):
     monkeypatch.setattr(exact_l2, "star_l2", counted)
     assert estimate(pts, "star", 2.0).value == original(pts)
     assert calls == [16]
+
+
+def test_mc_box_tests_reads_samples_points_and_dimension(monkeypatch, tmp_path):
+    # the tracer counts Monte Carlo work from mc_lp's call arguments alone
+    calls = []
+    original = lp_oracle.mc_lp
+
+    def recorded(*args, **kwargs):
+        est = original(*args, **kwargs)
+        calls.append((args, kwargs, est))
+        return est
+
+    for module in (lp_oracle, experiments, cli):
+        monkeypatch.setattr(module, "mc_lp", recorded)
+    pts = prefix(Halton((2, 3)), 16)
+    estimate(pts, "star", 1.5, McConfig(300, 1))
+    prefix_transference_verify(Halton((2, 3)), 4, p=1.5, mc=McConfig(200, 2))
+    f = tmp_path / "pts.csv"
+    with open(f, "w") as fh:
+        write_points(pts, fh)
+    assert cli.main(["oracle", "--kind", "periodic", "--p", "1.5", "--samples", "500",
+                     "--in", str(f)]) == 0
+    assert len(calls) == 1 + 5 + 1  # four prefixes and the lifted set, then the oracle
+    box_tests = _load_tracing(monkeypatch)._mc_box_tests
+    for args, kwargs, est in calls:
+        assert box_tests(args, kwargs) == est.samples * est.n * est.d
