@@ -8,8 +8,9 @@ invocations produce byte-identical output. DISCLAB_THREADS caps the worker
 threads of Monte Carlo sampling (`oracle --threads` overrides it) and of the
 closed-form pair sums; results do not depend on the cap. `compute` and
 `scan` take their evaluator from `lp_oracle.estimate`; the diaphony is
-defined at p = 2 only. Exit codes: 0 success, 1 domain error, 2 usage
-error, 3 a verification verdict failed.
+defined at p = 2 only. Exit codes: 0 success, 1 domain error (a request
+too large to allocate included), 2 usage error, 3 a verification verdict
+failed.
 """
 
 from __future__ import annotations
@@ -336,7 +337,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (DisclabError, ValueError, OSError) as exc:
+    except (DisclabError, ValueError, OSError, MemoryError) as exc:
         print(f"disclab: error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
 

@@ -38,8 +38,8 @@ gives them; the strips' partial sums then finish the tree. Every kernel
 gives each entry a value that depends on its two points alone, so each
 block's (value, compensation) is bit for bit comp_sum of the whole block.
 Block pairs run on the worker pool (DISCLAB_THREADS, else the CPU count up
-to 8) and are added in block order, so results do not depend on the thread
-count.
+to 8), and their (value, compensation) pairs are added in block order by
+`summation.running_sum`, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import GuardError
 from .pointsets import PointSet, _ordered_map
-from .summation import KernelAccumulator, exact_ratio_parts, strip_sum
+from .summation import exact_ratio_parts, running_sum, strip_sum
 
 __all__ = [
     "star_l2",
@@ -74,14 +74,15 @@ def _bernoulli2(t: np.ndarray) -> np.ndarray:
     return f * f - f + (1.0 / 6.0)
 
 
-def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> KernelAccumulator:
-    """Accumulate sum_{k,l} (K(x_k, x_l) - g_k - g_l), where block_fn(xi, xj)
-    returns the kernel matrix of rows xi against columns xj and the optional
-    per-point term g is folded into the summand. Off-diagonal blocks
-    contribute twice (symmetry); the factor two is exact.
+def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[float, float]:
+    """(value, compensation) of sum_{k,l} (K(x_k, x_l) - g_k - g_l), where
+    block_fn(xi, xj) returns the kernel matrix of rows xi against columns xj
+    and the optional per-point term g is folded into the summand.
+    Off-diagonal blocks contribute twice (symmetry); the factor two is exact.
 
     Each block is built and folded in row strips by `strip_sum`, and block
-    pairs run on the worker pool; their sums are added in block order."""
+    pairs run on the worker pool; their (value, compensation) pairs are
+    added in block order by one compensated running sum."""
     n = x.shape[0]
     pairs = [(i0, j0) for i0 in range(0, n, _BLOCK) for j0 in range(i0, n, _BLOCK)]
 
@@ -98,12 +99,10 @@ def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> KernelAcc
 
         return strip_sum(xi.shape[0], xj.shape[0], strip)
 
-    acc = KernelAccumulator()
-    for (i0, j0), (hi, lo) in zip(pairs, _ordered_map(block_sum, pairs)):
-        if j0 > i0:
-            hi, lo = 2.0 * hi, 2.0 * lo
-        acc.add_pair(hi, lo)
-    return acc
+    sums = np.array(_ordered_map(block_sum, pairs))  # row k: block pair k's (hi, lo)
+    sums[[j0 > i0 for i0, j0 in pairs]] *= 2.0
+    value, comp = running_sum(sums.ravel())
+    return float(value[-1]), float(comp[-1])
 
 
 def _product_kernel(factor):
@@ -135,15 +134,14 @@ def _incremental_kernel(term):
     return block
 
 
-def _root(acc: KernelAccumulator, num: int, c: int, d: int) -> float:
+def _root(acc: tuple[float, float], num: int, c: int, d: int) -> float:
     """sqrt of the pair sum plus the rational constant num / c^d, the constant
     entering as two doubles. Once c^-d is below the smallest normal double,
     the pair-sum products have underflowed too, and a GuardError is raised."""
     if float(c) ** -d < sys.float_info.min:
         raise GuardError(f"closed form underflows at d={d}: {c}^-d is not a normal double")
     chi, clo = exact_ratio_parts(num, c**d)
-    s, lo = acc.parts
-    return math.sqrt(max(math.fsum((s, lo, chi, clo)), 0.0))
+    return math.sqrt(max(math.fsum((*acc, chi, clo)), 0.0))
 
 
 def _require_diaphony_finite(n: int, d: int) -> None:
@@ -201,10 +199,10 @@ def diaphony(points: PointSet) -> float:
     x = points.coords
     n, d = x.shape
     _require_diaphony_finite(n, d)
-    acc = _pair_sum(
+    hi, lo = _pair_sum(
         x, _incremental_kernel(lambda u, v: _TWO_PI_SQ * _bernoulli2(np.subtract.outer(u, v)))
     )
-    f2 = acc.value / (n * n)
+    f2 = (hi + lo) / (n * n)
     return math.sqrt(max(f2, 0.0))
 
 
@@ -247,8 +245,8 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
             out += t
         return out
 
-    acc = _pair_sum(x, _incremental_kernel(g_minus_one))
-    t2 = max(acc.value / (n * n), 0.0)
+    hi, lo = _pair_sum(x, _incremental_kernel(g_minus_one))
+    t2 = max((hi + lo) / (n * n), 0.0)
     sigma_h = 1.0 + float(np.sum(w))
     bound = _SIGMA**d - sigma_h**d
     return math.sqrt(t2), bound

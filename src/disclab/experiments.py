@@ -98,7 +98,6 @@ def inequality_suite(
     dims: tuple[int, ...] = (1, 2),
     n: int = 32,
     seed: int = 0,
-    keep_cases: bool = False,
 ) -> VerdictReport:
     """Check the order relations between the discrepancy families on seeded
     random point sets.
@@ -108,9 +107,8 @@ def inequality_suite(
     sandwich star <= extreme <= 2^d star at p = infinity. Any failure beyond
     rounding tolerance indicates an implementation bug, not randomness.
 
-    keep_cases retains every per-trial margin; otherwise only failures and
-    the worst margin per claim are kept (reports stay small at thousands of
-    trials).
+    Only failures and the worst margin per claim are kept, so reports stay
+    small at thousands of trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -118,7 +116,7 @@ def inequality_suite(
     worst: dict[str, CaseCheck] = {}
 
     def record(check: CaseCheck) -> None:
-        if keep_cases or not check.passed:
+        if not check.passed:
             cases.append(check)
         prev = worst.get(check.claim)
         if prev is None or check.margin < prev.margin:
@@ -186,9 +184,7 @@ def prefix_transference_verify(
 
     if p == 2.0:
         prefix_best = np.maximum.accumulate([v for v, _ in values.values()]).tolist()
-        for n in (2**k for k in range(0, n_max.bit_length())):
-            if n > n_max:
-                break
+        for n in _dyadic(0, n_max):
             lifted = lift(full, n)
             rhs = extreme_l2(lifted) / math.sqrt(2.0) - 2.0 ** (-d / 2.0)
             lhs = prefix_best[n - 1]
@@ -315,10 +311,16 @@ def fit_log_exponent(rows: list[ScanRow]) -> tuple[float, float, float]:
     the RMS residual in log space. Requires at least three rows, positive
     values, and n >= 3 so the regressor is positive.
     """
-    if len(rows) < 3:
+    return _fit_log_exponent(
+        np.array([r.n for r in rows], dtype=np.float64),
+        np.array([r.value for r in rows], dtype=np.float64),
+    )
+
+
+def _fit_log_exponent(ns: np.ndarray, vals: np.ndarray) -> tuple[float, float, float]:
+    """`fit_log_exponent` of the rows with these n and values."""
+    if ns.size < 3:
         raise ValueError("need at least 3 rows to fit")
-    ns = np.array([r.n for r in rows], dtype=np.float64)
-    vals = np.array([r.value for r in rows], dtype=np.float64)
     if np.any(ns < 3):
         raise ValueError("fit requires n >= 3 (log log n must be positive)")
     if np.any(vals <= 0):
@@ -326,12 +328,20 @@ def fit_log_exponent(rows: list[ScanRow]) -> tuple[float, float, float]:
     x = np.log(np.log(ns))
     if np.allclose(x, x[0]):
         raise ValueError("degenerate fit: all n equal")
-    y = np.log(vals)
+    return _line_fit(x, np.log(vals))
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least squares of y on x: (slope, intercept, RMS residual)."""
     design = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    alpha, c = float(coef[0]), float(coef[1])
     rms = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-    return alpha, c, rms
+    return float(coef[0]), float(coef[1]), rms
+
+
+def _dyadic(k0: int, n_max: int) -> list[int]:
+    """The powers of two 2^k0, 2^(k0+1), ... that are <= n_max."""
+    return [2**k for k in range(k0, n_max.bit_length())]
 
 
 @dataclass
@@ -389,33 +399,21 @@ def vdc_star_constant(max_n: int, n_min: int = 2) -> VdcConstantReport:
     arg_n = int(ns[sel][arg])
 
     window_sups = {}
-    k = 1
-    while 2**k < max_n:
-        w = (ns >= 2**k) & (ns < min(2 ** (k + 1), max_n + 1))
-        if w.any():
-            window_sups[f"[2^{k},2^{k+1})"] = float((vals[w] / np.log(ns[w])).max())
-        k += 1
+    for k, lo in enumerate(_dyadic(1, max_n - 1), 1):  # octaves [lo, 2 lo), lo < max_n
+        w = (ns >= lo) & (ns < 2 * lo)
+        window_sups[f"[2^{k},2^{k+1})"] = float((vals[w] / np.log(ns[w])).max())
 
-    checkpoint_sups = {}
+    cps = np.array(_dyadic(4, max_n))
     running = np.maximum.accumulate(ratio)
-    for k in range(4, max_n.bit_length()):
-        cp = 2**k
-        if cp >= n_min and cp <= max_n:
-            checkpoint_sups[str(cp)] = float(running[cp - n_min])
-
-    env = np.maximum.accumulate(vals)
-    cps = [2**k for k in range(4, max_n.bit_length() + 1) if 2**k <= max_n]
-    log_n = np.log(np.array(cps, dtype=np.float64))
-    env_vals = env[np.array(cps) - 1]
-    design = np.vstack([log_n, np.ones_like(log_n)]).T
-    coef, *_ = np.linalg.lstsq(design, env_vals, rcond=None)
+    checkpoint_sups = {str(cp): float(running[cp - n_min]) for cp in cps if cp >= n_min}
+    slope, _, _ = _line_fit(np.log(cps.astype(np.float64)), np.maximum.accumulate(vals)[cps - 1])
     return VdcConstantReport(
         max_n=max_n,
         n_min=n_min,
         sup_ratio=sup_ratio,
         arg_n=arg_n,
         target=VDC_STAR_TARGET,
-        envelope_slope=float(coef[0]),
+        envelope_slope=slope,
         window_sups=window_sups,
         checkpoint_sups=checkpoint_sups,
     )
@@ -433,16 +431,12 @@ def vdc_exponent_report(max_n: int = 1 << 16) -> dict:
     kinds = ("star", "extreme", "diaphony")
     vals = prefix_discrepancies(prefix(VanDerCorput(2), max_n), kinds=kinds)
     ns = np.arange(1, max_n + 1, dtype=np.float64)
-    cps = [2**k for k in range(6, max_n.bit_length())]  # 64, 128, ... <= max_n
+    cps = _dyadic(6, max_n)  # 64, 128, ... <= max_n
+    at = np.array(cps, dtype=np.int64) - 1
     out: dict = {"max_n": max_n, "checkpoints": cps, "fits": {}}
     for kind in kinds:
         series = vals[kind] * (ns if kind == "diaphony" else 1.0)
-        env = np.maximum.accumulate(series)
-        rows = [
-            ScanRow(cp, float(env[cp - 1]), _rate(cp, 1, False), float(env[cp - 1]) / _rate(cp, 1, False))
-            for cp in cps
-        ]
-        alpha, c, rms = fit_log_exponent(rows)
+        alpha, c, rms = _fit_log_exponent(ns[at], np.maximum.accumulate(series)[at])
         label = "n_diaphony" if kind == "diaphony" else kind
         out["fits"][label] = {"alpha": alpha, "c": c, "rms": rms}
     out["checks"] = _growth_checks(out["fits"])

@@ -171,7 +171,7 @@ def _cells(x: np.ndarray):
     xs = np.sort(x)
     edges = np.unique(np.concatenate(([0.0], xs, [1.0])))
     counts = np.searchsorted(xs, edges[:-1], side="right").astype(np.float64)
-    return edges, counts, xs
+    return edges, counts
 
 
 def _phi1(s: np.ndarray, p: float) -> np.ndarray:
@@ -211,7 +211,7 @@ def exact_lp_1d(points: PointSet, kind: str, p: float) -> float:
 def _lp_1d_power_sum(x: np.ndarray, kind: str, p: float) -> float:
     """The integral of |D|^p behind `exact_lp_1d`, before the 1/p root."""
     n = x.size
-    edges, a, _ = _cells(x)
+    edges, a = _cells(x)
     lo, hi = edges[:-1], edges[1:]
     if kind == "star":
         terms = (_phi1(a - n * lo, p) - _phi1(a - n * hi, p)) / n
@@ -255,16 +255,17 @@ def _lp_1d_power_sum(x: np.ndarray, kind: str, p: float) -> float:
 def linf_star_1d(points: PointSet) -> float:
     """sup_t |count([0,t)) - n t| in dimension one.
 
-    With sorted values x_(1) <= ... <= x_(n) the supremum over the closure is
-    max_i max(n x_(i) - (i-1), i - n x_(i)); it is a supremum, attained as a
-    limit of half-open boxes.
+    D(t) = count([0,t)) - n t is a - n t on each cell (lo, hi], a the cell's
+    count, so the supremum is the larger of max(a - n lo) and max(n hi - a)
+    over the cells: the one-sided limits at the cell ends. It is a supremum,
+    attained as a limit of half-open boxes.
     """
     points.require_nonempty()
     points.require_dim(1)
-    x = np.sort(points.coords[:, 0])
+    x = points.coords[:, 0]
     n = x.size
-    i = np.arange(1, n + 1)
-    return float(np.max(np.maximum(n * x - (i - 1), i - n * x)))
+    edges, a = _cells(x)
+    return float(max(np.max(a - n * edges[:-1]), np.max(n * edges[1:] - a)))
 
 
 def linf_extreme_1d(points: PointSet) -> float:
@@ -280,7 +281,7 @@ def linf_extreme_1d(points: PointSet) -> float:
     points.require_dim(1)
     x = points.coords[:, 0]
     n = x.size
-    edges, a, _ = _cells(x)
+    edges, a = _cells(x)
     high = a - n * edges[:-1]
     low = a - n * edges[1:]
     best = 0.0
@@ -297,8 +298,9 @@ _LINF_MAX_D = 2
 
 
 def linf_exact_small(points: PointSet, kind: str) -> float:
-    """Exact supremum discrepancy by enumerating critical corners (d <= 2,
-    n <= 64).
+    """Exact supremum discrepancy for d <= 2, n <= 64: in d = 1 the
+    one-dimensional scan `linf_star_1d` or `linf_extreme_1d`, in d = 2 an
+    enumeration of critical corners.
 
     Candidate thresholds per axis are the point coordinates plus 0 and 1.
     The positive part of the supremum closes the box around its points
@@ -313,26 +315,8 @@ def linf_exact_small(points: PointSet, kind: str) -> float:
     if d > _LINF_MAX_D or n > _LINF_MAX_N:
         raise GuardError(f"exact enumeration is limited to d <= {_LINF_MAX_D}, n <= {_LINF_MAX_N}")
     if d == 1:
-        return _linf_small_1d(points.coords[:, 0], kind)
+        return (linf_star_1d if kind == "star" else linf_extreme_1d)(points)
     return _linf_small_2d(points.coords, kind)
-
-
-def _linf_small_1d(x: np.ndarray, kind: str) -> float:
-    n = x.size
-    xs = np.sort(x)
-    c = np.unique(np.concatenate(([0.0], xs, [1.0])))
-    if kind == "star":
-        closed = np.searchsorted(xs, c, side="right")
-        strict = np.searchsorted(xs, c, side="left")
-        return max(float(np.max(closed - n * c)), float(np.max(n * c - strict)), 0.0)
-    best = 0.0
-    for i, u in enumerate(c):
-        v = c[i:]
-        closed = np.searchsorted(xs, v, side="right") - np.searchsorted(xs, u, side="left")
-        strict = np.searchsorted(xs, v, side="left") - np.searchsorted(xs, u, side="right")
-        vol = n * (v - u)
-        best = max(best, float(np.max(closed - vol)), float(np.max(vol - strict)))
-    return best
 
 
 def _linf_small_2d(pts: np.ndarray, kind: str) -> float:

@@ -23,12 +23,11 @@ The periodic identity uses that {delta} + {-delta} = 1 off the diagonal and
 {delta}^2 + {-delta}^2 = 2 delta^2 - 2|delta| + 1 per unordered pair, which
 collapses the Bernoulli kernel into the three tracked sums.
 
-Running sums are compensated: a plain cumsum plus the cumsum of each step's
-exact TwoSum error (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005)),
-the same (value, compensation) pair a `KernelAccumulator` holds. Every sum
-is formed in the order a per-point engine (Fenwick trees over the ranks, one
-accumulator per running sum) forms it, so the values are that engine's, bit
-for bit, on any input. The residual error of a prefix value is
+Running sums are compensated (`summation.running_sum`): the (value,
+compensation) pairs a scalar Neumaier sum holds as the terms arrive. Every
+sum is formed in the order a per-point engine (Fenwick trees over the ranks,
+one compensated scalar sum per running sum) forms it, so the values are that
+engine's, bit for bit, on any input. The residual error of a prefix value is
 O(eps * n^2), i.e. about 1e-7 absolute at n = 2^16, ample for scan and
 envelope work (the full-accuracy path is `exact_l2`).
 """
@@ -41,6 +40,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .pointsets import PointSet
+from .summation import running_sum
 
 __all__ = ["prefix_discrepancies"]
 
@@ -63,7 +63,7 @@ def prefix_discrepancies(
             raise ValueError(f"unknown kind {k!r}")
     n_total = x.size
     c_below, s_below = _below(x)
-    sum_x = _running(x)
+    sum_x = np.add(*running_sum(x))
     s_above = np.concatenate(([0.0], sum_x[:-1])) - s_below  # earlier points ranked above
     c_above = np.arange(n_total) - c_below
     # ties carry stable ranks, so an equal value inserted earlier lands in
@@ -77,8 +77,8 @@ def prefix_discrepancies(
         terms["absdiff"] = (x * c_below - s_below) + (s_above - x * c_above)
     del c_below, s_below, s_above, c_above
     # each term array is freed as its running sum is formed: a lower peak
-    sums = {k: _running(terms.pop(k)) for k in list(terms)}
-    sum_x2 = _running(x * x)
+    sums = {k: np.add(*running_sum(terms.pop(k))) for k in list(terms)}
+    sum_x2 = np.add(*running_sum(x * x))
     n = np.arange(1.0, n_total + 1.0)
     out = {}
     if "max" in sums:
@@ -133,13 +133,3 @@ def _below(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         del time, low
         total[dst] += np.cumsum(xs.reshape(-1, width), axis=1).ravel()[hi]
     return count[:n].astype(np.float64), total[:n]
-
-
-def _running(t: np.ndarray) -> np.ndarray:
-    """Compensated running sums: entry i is, bit for bit, the value of a
-    `KernelAccumulator` after adding t[0], ..., t[i]. Its value is the plain
-    cumsum; its compensation is the cumsum of each step's exact TwoSum error."""
-    s = np.cumsum(t)
-    prev = np.concatenate(([0.0], s[:-1]))
-    bv = s - prev
-    return s + np.cumsum((prev - (s - bv)) + (t - bv))

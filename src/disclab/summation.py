@@ -3,16 +3,17 @@
 The pair sums behind the closed-form discrepancies add Theta(N^2) terms whose
 total is many orders of magnitude smaller than the sum of absolute values.
 Plain float64 accumulation (even numpy's pairwise `sum`) cannot be trusted to
-ten significant digits at N ~ 2^16, so every pair sum in this package goes
-through `comp_sum` or a `KernelAccumulator`, both of which carry an explicit
-compensation term alongside the running value.
+ten significant digits at N ~ 2^16, so every sum in this package goes
+through `comp_sum` or `running_sum`, both of which carry an explicit
+compensation term alongside the value.
 
 `comp_sum` reduces an array with an exact binary TwoSum tree and accumulates
 the per-level rounding errors; the (value, compensation) pair it returns
 represents the true sum up to O(n * eps^2 * sum|terms|), far inside the
 64 * eps * sum|terms| budget the accumulator contract promises. `strip_sum`
 runs the same tree, to the same bits, over a matrix that is built and folded
-a row strip at a time.
+a row strip at a time. `running_sum` gives every prefix of a sequence its
+compensated sum, adding the terms one at a time in order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = ["comp_sum", "strip_sum", "KernelAccumulator", "exact_ratio_parts"]
+__all__ = ["comp_sum", "strip_sum", "running_sum", "exact_ratio_parts"]
 
 _STRIP = 1 << 15  # entries per strip of `strip_sum`: 256 KiB of doubles
 _STRIP_REST = 1 << 7  # a strip stops folding at this many partial sums
@@ -97,39 +98,17 @@ def _finish(a: np.ndarray, errors: list) -> tuple[float, float]:
     return float(a[0]), math.fsum(float(np.sum(e)) for e in errors)
 
 
-class KernelAccumulator:
-    """Running Neumaier-compensated scalar sum.
-
-    Keeps (value, compensation); `add` never drops a rounding error larger
-    than second order. Used for incremental pair-sum updates where terms
-    arrive one at a time.
-    """
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self, value: float = 0.0) -> None:
-        self._s = float(value)
-        self._c = 0.0
-
-    def add(self, v: float) -> None:
-        t = self._s + v
-        if abs(self._s) >= abs(v):
-            self._c += (self._s - t) + v
-        else:
-            self._c += (v - t) + self._s
-        self._s = t
-
-    def add_pair(self, hi: float, lo: float) -> None:
-        self.add(hi)
-        self.add(lo)
-
-    @property
-    def parts(self) -> tuple[float, float]:
-        return self._s, self._c
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
+def running_sum(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compensated running sums of `terms`: entry i of (value,
+    compensation) is the pair a scalar Neumaier sum holds once it has added
+    terms[0], ..., terms[i], starting from +0.0. The value is the plain
+    cumsum; the compensation is the cumsum of each step's exact TwoSum error
+    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005)), which equals the
+    error the scalar sum adds."""
+    s = np.cumsum(np.concatenate(([0.0], terms)))
+    prev, s = s[:-1], s[1:]
+    bv = s - prev
+    return s, np.cumsum((prev - (s - bv)) + (terms - bv))
 
 
 def exact_ratio_parts(num: int, den: int) -> tuple[float, float]:

@@ -280,3 +280,11 @@ def test_compute_overflow_and_underflow_are_domain_errors(tmp_path):
         assert r.returncode == 1, r.stderr
         assert r.stderr.startswith("disclab: error:") and "Traceback" not in r.stderr
         assert r.stdout == ""
+
+
+def test_request_too_large_to_allocate_is_domain_error(capsys):
+    # numpy refuses the 8 PB index array at once, with a MemoryError
+    assert main(["gen", "--n", str(10**15)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("disclab: error: Unable to allocate") and err.endswith("\n")

@@ -23,7 +23,8 @@ from disclab import (
     random_point_set,
     star_l2,
 )
-from disclab.summation import KernelAccumulator, comp_sum
+from disclab.summation import comp_sum
+from scalar_sum import KernelAccumulator
 
 inner_coord = st.integers(1, 2**20 - 1).map(lambda j: j / 2**20)
 
@@ -275,7 +276,7 @@ def test_pair_sum_equals_whole_block_comp_sums(monkeypatch, d, threads):
     x = random_point_set(1100, d, 40 + d).coords  # ragged: 1024 + 76
     g = np.prod((1.0 - x * x) / 2.0, axis=1)
     block_fn = exact_l2._product_kernel(lambda u, v: 1.0 - np.maximum.outer(u, v))
-    assert exact_l2._pair_sum(x, block_fn, g).parts == _whole_block_pair_sum(x, block_fn, g)
+    assert exact_l2._pair_sum(x, block_fn, g) == _whole_block_pair_sum(x, block_fn, g)
 
 
 @pytest.mark.parametrize("fn", [star_l2, periodic_l2, lambda p: diaphony_truncated(p, 8)])

@@ -32,7 +32,7 @@ def test_inequality_suite_small_run_passes():
 
 
 def test_inequality_suite_d2_includes_linf_sandwich():
-    rep = inequality_suite(trials=5, dims=(2,), n=24, seed=6, keep_cases=True)
+    rep = inequality_suite(trials=5, dims=(2,), n=24, seed=6)
     claims = {c.claim for c in rep.cases}
     assert "linf_star<=linf_extreme" in claims
     assert "linf_extreme<=2^d*linf_star" in claims

@@ -285,12 +285,51 @@ def test_linf_sandwich_1d(seed, n):
     assert e <= 2.0 * s + 1e-12
 
 
+def _enumerated_linf_1d(x, kind):
+    """The supremum over every box whose ends are coordinates, 0 or 1: a
+    closed box for the positive part, an open one for the negative part."""
+    n = x.size
+    xs = np.sort(x)
+    c = np.unique(np.concatenate(([0.0], xs, [1.0])))
+    if kind == "star":
+        closed = np.searchsorted(xs, c, side="right")
+        strict = np.searchsorted(xs, c, side="left")
+        return max(float(np.max(closed - n * c)), float(np.max(n * c - strict)), 0.0)
+    best = 0.0
+    for i, u in enumerate(c):
+        v = c[i:]
+        closed = np.searchsorted(xs, v, side="right") - np.searchsorted(xs, u, side="left")
+        strict = np.searchsorted(xs, v, side="left") - np.searchsorted(xs, u, side="right")
+        vol = n * (v - u)
+        best = max(best, float(np.max(closed - vol)), float(np.max(vol - strict)))
+    return best
+
+
 @given(st.integers(0, 2**31), st.integers(1, 16))
 @settings(max_examples=50, deadline=None)
 def test_linf_small_agrees_with_1d_scans(seed, n):
     p = random_point_set(n, 1, seed)
-    assert linf_exact_small(p, "star") == pytest.approx(linf_star_1d(p), abs=1e-12)
-    assert linf_exact_small(p, "extreme") == pytest.approx(linf_extreme_1d(p), abs=1e-12)
+    for kind, scan in (("star", linf_star_1d), ("extreme", linf_extreme_1d)):
+        assert linf_exact_small(p, kind) == scan(p)
+        assert _enumerated_linf_1d(p.coords[:, 0], kind) == pytest.approx(scan(p), abs=1e-12)
+
+
+def _sorted_candidate_linf_star_1d(x):
+    """max_i max(n x_(i) - (i-1), i - n x_(i)) over the sorted values."""
+    x = np.sort(x)
+    n = x.size
+    i = np.arange(1, n + 1)
+    return float(np.max(np.maximum(n * x - (i - 1), i - n * x)))
+
+
+@given(
+    st.lists(st.integers(0, 8), min_size=1, max_size=40).map(lambda ks: np.array(ks) / 9.0)
+    | st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40).map(np.array)
+)
+@settings(max_examples=200, deadline=None)
+def test_linf_star_1d_equals_sorted_candidate_formula_bits(x):
+    # ninths give ties, zeros and rounded products n x
+    assert linf_star_1d(PointSet(x[:, None])) == _sorted_candidate_linf_star_1d(x)
 
 
 def _random_box_search(pts, kind, samples, seed):

@@ -17,7 +17,8 @@ from disclab import (
     random_point_set,
     star_l2,
 )
-from disclab.summation import KernelAccumulator
+from scalar_sum import KernelAccumulator
+
 
 FULL = {"star": star_l2, "extreme": extreme_l2, "periodic": periodic_l2, "diaphony": diaphony}
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from disclab import summation
 from disclab.exact_l2 import _product_kernel
-from disclab.summation import KernelAccumulator, comp_sum, exact_ratio_parts, strip_sum
+from disclab.summation import comp_sum, exact_ratio_parts, running_sum, strip_sum
+from scalar_sum import KernelAccumulator
 
 
 def test_comp_sum_empty_and_single():
@@ -47,6 +48,8 @@ def test_kernel_accumulator_tracks_tiny_residue():
         acc.add(1.0)
         acc.add(-1e16)
     assert acc.value == 1e4
+    value, comp = running_sum(np.tile([1e16, 1.0, -1e16], 10**4))
+    assert value[-1] + comp[-1] == 1e4
 
 
 def test_kernel_accumulator_add_pair():
@@ -54,6 +57,37 @@ def test_kernel_accumulator_add_pair():
     acc.add_pair(1e16, 1.0)
     acc.add(-1e16)
     assert acc.value == 1.0
+    value, comp = running_sum(np.array([1e16, 1.0, -1e16]))
+    assert value[-1] + comp[-1] == 1.0
+
+
+def _bits(pairs) -> bytes:
+    return np.asarray(pairs, dtype=np.float64).tobytes()
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, width=64),
+            st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 5e-324]),
+        ),
+        max_size=200,
+    )
+)
+@settings(max_examples=300)
+def test_running_sum_entries_are_the_scalar_sums_bits(xs):
+    acc, want = KernelAccumulator(), []
+    for v in xs:
+        acc.add(v)
+        want.append(acc.parts)
+    value, comp = running_sum(np.array(xs, dtype=np.float64))
+    assert _bits(np.stack([value, comp], axis=1)) == _bits(want)
+
+
+def test_running_sum_starts_from_positive_zero():
+    # a first term of -0.0 leaves the scalar sum at +0.0
+    value, comp = running_sum(np.array([-0.0, -0.0]))
+    assert _bits(value) == _bits([0.0, 0.0]) and _bits(comp) == _bits([0.0, 0.0])
 
 
 def test_exact_ratio_parts_recovers_fraction():
