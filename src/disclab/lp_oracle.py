@@ -179,9 +179,26 @@ def _phi1(s: np.ndarray, p: float) -> np.ndarray:
     return np.sign(s) * np.abs(s) ** (p + 1.0) / (p + 1.0)
 
 
-def _psi(s: np.ndarray, p: float) -> np.ndarray:
-    """Antiderivative of s |s|^p."""
-    return np.abs(s) ** (p + 2.0) / (p + 2.0)
+def _phi1_psi(s: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_phi1(s, p)` and the antiderivative of s |s|^p, psi = |s|^(p+2) / (p+2),
+    from one |s|.
+
+    numpy's vector power takes a slow path on a zero base (about 4x per
+    entry), and on lattice sets most s are 0. So |s| = 0 is raised as 1.0 and
+    psi is set to 0 there afterwards; sign(0) = 0 already zeroes phi1. Every
+    entry keeps the bits of the plain formulas.
+    """
+    zero = s == 0.0
+    r = np.abs(s)
+    r[zero] = 1.0
+    phi1 = np.sign(s) * r ** (p + 1.0) / (p + 1.0)
+    psi = r ** (p + 2.0) / (p + 2.0)
+    psi[zero] = 0.0
+    return phi1, psi
+
+
+# Cell pairs per row block of the extreme integrand: about 128 KiB an array.
+_BLOCK_ENTRIES = 1 << 14
 
 
 def exact_lp_1d(points: PointSet, kind: str, p: float) -> float:
@@ -193,6 +210,12 @@ def exact_lp_1d(points: PointSet, kind: str, p: float) -> float:
     depends on v - u alone, and integrating against the trapezoidal density
     of v - u needs only the first and second antiderivatives of |s|^p. No
     sampling error; accuracy is limited only by rounding.
+
+    The extreme cell pairs (i, j > i) are built as 2-d arrays, a block of
+    rows of about 2^14 entries at a time, so memory stays bounded at any n.
+    Every entry has the same expression as in a one-row-at-a-time loop, and
+    each row i is still summed by one `math.fsum`, so the result is
+    bit-identical to that loop's.
     """
     points.require_nonempty()
     points.require_dim(1)
@@ -220,30 +243,43 @@ def _lp_1d_power_sum(x: np.ndarray, kind: str, p: float) -> float:
     widths = hi - lo
     m = lo.size
     parts = [math.fsum(((n**p) * widths ** (p + 2.0) / ((p + 1.0) * (p + 2.0))).tolist())]
-    for i in range(m - 1):
-        gap = a[i + 1 :] - a[i]
-        w1 = lo[i + 1 :] - hi[i]
-        w2 = lo[i + 1 :] - lo[i]
-        w3 = hi[i + 1 :] - hi[i]
-        w4 = hi[i + 1 :] - lo[i]
+    i0 = 0
+    while i0 < m - 1:
+        # rows i0..i1-1 against columns i0+1..m-1; entry (i, j) is the cell
+        # pair i < j, and the entries with j <= i are zeroed before any
+        # arithmetic, so they neither raise nor reach a row sum
+        i1 = min(m - 1, i0 + max(1, _BLOCK_ENTRIES // (m - 1 - i0)))
+        rows, cols = slice(i0, i1), slice(i0 + 1, m)
+        below = np.arange(i0 + 1, m) <= np.arange(i0, i1)[:, None]
+
+        def diff(u, v):
+            out = u[None, cols] - v[rows, None]
+            out[below] = 0.0
+            return out
+
+        gap = diff(a, a)
+        w1 = diff(lo, hi)
+        w2 = diff(lo, lo)
+        w3 = diff(hi, hi)
+        w4 = diff(hi, lo)
         w_mid_lo = np.minimum(w2, w3)
         w_mid_hi = np.maximum(w2, w3)
-        height = np.minimum(widths[i], widths[i + 1 :])
+        height = np.minimum(widths[rows, None], widths[None, cols])
+        # phi1 and psi at the four breakpoints s = gap - n alpha
+        phi1, psi = zip(*(_phi1_psi(gap - n * alpha, p) for alpha in (w1, w_mid_lo, w_mid_hi, w4)))
 
-        def piece(aw, bw, alpha, beta):
-            s_hi = gap - n * alpha
-            s_lo = gap - n * beta
-            out = (aw + bw * gap / n) * (_phi1(s_hi, p) - _phi1(s_lo, p))
+        def piece(aw, bw, k):
+            # the integral between breakpoints k (s_hi) and k + 1 (s_lo)
+            out = (aw + bw * gap / n) * (phi1[k] - phi1[k + 1])
             if bw:
-                out -= (bw / n) * (_psi(s_hi, p) - _psi(s_lo, p))
+                out -= (bw / n) * (psi[k] - psi[k + 1])
             return out / n
 
-        t = (
-            piece(-w1, 1.0, w1, w_mid_lo)
-            + piece(height, 0.0, w_mid_lo, w_mid_hi)
-            + piece(w4, -1.0, w_mid_hi, w4)
-        )
-        parts.append(math.fsum(t.tolist()))
+        t = piece(-w1, 1.0, 0) + piece(height, 0.0, 1) + piece(w4, -1.0, 2)
+        # row i holds its pairs j > i from column i - i0 on; a memoryview
+        # hands fsum the doubles one at a time, with no list of floats
+        parts +=[math.fsum(memoryview(row[r:])) for r, row in enumerate(t)]
+        i0 = i1
     return math.fsum(parts)
 
 

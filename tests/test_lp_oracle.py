@@ -248,6 +248,131 @@ def test_exact_lp_1d_guards():
         exact_lp_1d(pset([[0.5]]), "anchored", 2.0)
 
 
+def _ref_phi1(s, p):
+    return np.sign(s) * np.abs(s) ** (p + 1.0) / (p + 1.0)
+
+
+def _ref_psi(s, p):
+    return np.abs(s) ** (p + 2.0) / (p + 2.0)
+
+
+@np.errstate(over="raise", invalid="raise")
+def row_loop_reference(x, p):
+    """The extreme power sum one cell row at a time: for each cell i, the
+    pairs (i, j > i) as 1-d arrays, summed by one fsum."""
+    n = x.size
+    edges, a = lp_oracle._cells(x)
+    lo, hi = edges[:-1], edges[1:]
+    widths = hi - lo
+    m = lo.size
+    parts = [math.fsum(((n**p) * widths ** (p + 2.0) / ((p + 1.0) * (p + 2.0))).tolist())]
+    for i in range(m - 1):
+        gap = a[i + 1 :] - a[i]
+        w1 = lo[i + 1 :] - hi[i]
+        w2 = lo[i + 1 :] - lo[i]
+        w3 = hi[i + 1 :] - hi[i]
+        w4 = hi[i + 1 :] - lo[i]
+        w_mid_lo = np.minimum(w2, w3)
+        w_mid_hi = np.maximum(w2, w3)
+        height = np.minimum(widths[i], widths[i + 1 :])
+
+        def piece(aw, bw, alpha, beta):
+            s_hi = gap - n * alpha
+            s_lo = gap - n * beta
+            out = (aw + bw * gap / n) * (_ref_phi1(s_hi, p) - _ref_phi1(s_lo, p))
+            if bw:
+                out -= (bw / n) * (_ref_psi(s_hi, p) - _ref_psi(s_lo, p))
+            return out / n
+
+        t = (
+            piece(-w1, 1.0, w1, w_mid_lo)
+            + piece(height, 0.0, w_mid_lo, w_mid_hi)
+            + piece(w4, -1.0, w_mid_hi, w4)
+        )
+        parts.append(math.fsum(t.tolist()))
+    return math.fsum(parts)
+
+
+def _outcome(f, *args):
+    """f's value as its bits, or the type of the exception it raised."""
+    try:
+        return f(*args).hex()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+BIT_TEST_PS = [1.0, 1.5, 2.0, 3.0, 7.3, 60.0, 150.0, 300.0]
+
+
+def _bit_test_points(family, seed, n):
+    rng = np.random.default_rng(seed)
+    if family == "dyadic":  # a few k / 2^10 drawn many times: heavy ties
+        return rng.choice(rng.integers(0, 2**10, rng.integers(1, 12)) / 2**10, n)
+    if family == "sevenths":  # k / 7 rounds, with ties
+        return rng.integers(0, 8, n) / 7.0
+    if family == "random":  # full-mantissa values
+        return rng.random(n)
+    if family == "tiny":  # values packed near 0
+        return rng.random(n) ** 30
+    base = {"vdc2": 2, "vdc3": 3}[family]
+    return prefix(VanDerCorput(base), n).coords[:, 0]
+
+
+# sizes around the block edges: n distinct interior points make n + 1 cells
+# and n columns in the first block, which holds 2^14 // n rows. So up to
+# n = 128 the whole table is one block, and from n = 129 on it takes several.
+BIT_TEST_SIZES = [1, 2, 3, 4, 5, 127, 128, 129, 130, 181, 182, 183, 255, 256, 257]
+
+
+@given(
+    st.sampled_from(["dyadic", "sevenths", "random", "tiny", "vdc2", "vdc3"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(BIT_TEST_SIZES),
+    st.sampled_from(BIT_TEST_PS),
+)
+@settings(max_examples=150, deadline=None)
+def test_extreme_power_sum_matches_row_loop_reference_bits(family, seed, n, p):
+    x = _bit_test_points(family, seed, n)
+    got = _outcome(lp_oracle._lp_1d_power_sum, x, "extreme", p)
+    assert got == _outcome(row_loop_reference, x, p)
+
+
+@pytest.mark.parametrize("n, p, raised", [
+    (101, 152.0, FloatingPointError),  # |s|^(p+2) overflows in the cell pairs
+    (107, 152.0, OverflowError),  # n**p overflows first
+    (100, 148.0, None),
+])
+def test_extreme_power_sum_raises_as_the_row_loop_does(n, p, raised):
+    # all points at one tiny value: the pair of the two cells has |s| = n,
+    # so its powers leave the double range just before n**p does
+    x = np.full(n, 2.0**-30)
+    want = _outcome(row_loop_reference, x, p)
+    assert want is raised or (raised is None and isinstance(want, str))
+    assert _outcome(lp_oracle._lp_1d_power_sum, x, "extreme", p) == want
+
+
+@pytest.mark.parametrize("family", ["vdc2", "vdc3", "random"])
+def test_extreme_power_sum_matches_row_loop_reference_bits_across_blocks(family):
+    # about 700 cells: the first blocks hold 23 rows, the last one all
+    # remaining rows, so the block boundaries move through the whole table
+    x = _bit_test_points(family, 1, 699)
+    for p in (1.5, 7.3):
+        assert _outcome(lp_oracle._lp_1d_power_sum, x, "extreme", p) == _outcome(row_loop_reference, x, p)
+
+
+def test_exact_lp_1d_extreme_memory_is_bounded():
+    # the cell pairs are built in blocks of about 2^14 entries, not as one
+    # 4096 x 4096 table (128 MiB per array)
+    pts = prefix(VanDerCorput(2), 4096)
+    tracemalloc.start()
+    try:
+        exact_lp_1d(pts, "extreme", 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_exact_lp_1d_overflow_is_guard_error():
     # n**p leaves the double range for the extreme kind, |D|^(p+1) for star
     p = prefix(VanDerCorput(), 200)
