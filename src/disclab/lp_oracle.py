@@ -70,6 +70,8 @@ class McConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.threads < 0:
+            raise ValueError("threads must be >= 0")
 
 
 def _sample_terms(pts: np.ndarray, kind: str, p: float, u: np.ndarray) -> np.ndarray:

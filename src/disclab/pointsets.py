@@ -164,22 +164,60 @@ class Estimate:
 
 
 # Points per group of bitset tables (fewer in high d, so one group's d tables
-# stay near _TABLE_WORDS uint64 words), and uint64 words per box row block.
+# stay near _TABLE_WORDS uint64 words), uint64 words per box row block, and
+# the most buckets in one rank table.
 _POINT_GROUP = 1 << 12
 _TABLE_WORDS = 1 << 20
 _BLOCK_WORDS = 1 << 15
+_MAX_BUCKETS = 1 << 16
 
 
-def _prefix_sets(xj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted xj and the (n + 1, ceil(n / 64)) uint64 table whose row r is
-    the bitset of the r smallest points, so row searchsorted(sorted, t) is
-    the set {i : xj[i] < t}, ties never split."""
+def _rank_table(xs: np.ndarray) -> tuple[int, np.ndarray, int, np.ndarray]:
+    """Bucketed rank table of the sorted coordinates xs, read by `_rank`.
+
+    B is the smallest power of two >= 4 * n, at most _MAX_BUCKETS, and
+    start[b] = #{x < b / B} for b = 0 .. B. For a power-of-two B, x * B and
+    its floor are exact, so bucket floor(x * B) holds x exactly when
+    b / B <= x < (b + 1) / B. xs is padded with 2^k copies of +inf, where k
+    is the bit length of the fullest bucket's count.
+    """
+    n = xs.size
+    buckets = min(_MAX_BUCKETS, 1 << max(0, 4 * n - 1).bit_length())
+    fill = np.bincount((xs * buckets).astype(np.intp), minlength=buckets)
+    start = np.zeros(buckets + 1, dtype=np.intp)
+    np.cumsum(fill, out=start[1:])
+    k = int(fill.max(initial=0)).bit_length()
+    return buckets, start, k, np.concatenate((xs, np.full(1 << k, np.inf)))
+
+
+def _rank(table: tuple[int, np.ndarray, int, np.ndarray], t: np.ndarray) -> np.ndarray:
+    """#{x < t} for each t in [0, 1], equal to searchsorted(xs, t).
+
+    Every x below bucket b = floor(t * B) is below t and every x above it is
+    at or past (b + 1) / B > t, so the rank is start[b] plus the number of
+    bucket b's points below t, fewer than 2^k. k branch-free doubling steps
+    count those; a step reads past the bucket only where the value is >= t
+    (the next bucket or the +inf padding). t = 1.0 falls in bucket B, where
+    start[B] = n.
+    """
+    buckets, start, k, xe = table
+    r = start[(t * buckets).astype(np.intp)]
+    for i in reversed(range(k)):
+        step = 1 << i
+        r += (xe[step - 1 :][r] < t) * step
+    return r
+
+
+def _prefix_sets(xj: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Rank table of xj and the (n + 1, ceil(n / 64)) uint64 table whose row
+    r is the bitset of the r smallest points, so row `_rank(t)` is the set
+    {i : xj[i] < t}, ties never split."""
     n = xj.size
     order = np.argsort(xj, kind="stable")
     table = np.zeros((n + 1, -(-n // 64)), dtype=np.uint64)
     table[np.arange(1, n + 1), order >> 6] = np.uint64(1) << (order & 63).astype(np.uint64)
     np.bitwise_or.accumulate(table, axis=0, out=table)
-    return xj[order], table
+    return _rank_table(xj[order]), table
 
 
 def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.ndarray:
@@ -189,20 +227,21 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
     Per coordinate a box is [lo, hi) when lo <= hi and the wrapped pair
     [0, hi) union [lo, 1) when lo > hi; lo None anchors every box at the
     origin. Boundaries are exact: a corner t maps to its rank, the number of
-    points with x_j < t, by binary search in the sorted coordinate. In d = 1
-    the counts are rank differences. Otherwise a rank r picks row r of a
-    prefix bitset table per coordinate, [lo, hi) is the xor of two rows (and
-    of the full row where it wraps), and the count is the popcount of the
-    and over coordinates. Points go in groups of at most _POINT_GROUP, each
-    with its own tables, and boxes in row blocks of _BLOCK_WORDS words, so
-    memory stays bounded at any n.
+    points with x_j < t, read from a bucketed rank table (`_rank`), which
+    gives searchsorted's integers without a binary search over all points.
+    In d = 1 the counts are rank differences. Otherwise a rank r picks row r
+    of a prefix bitset table per coordinate, [lo, hi) is the xor of two rows
+    (and of the full row where it wraps), and the count is the popcount of
+    the and over coordinates. Points go in groups of at most _POINT_GROUP,
+    each with its own tables, and boxes in row blocks of _BLOCK_WORDS words,
+    each ranked where it is read, so memory stays bounded at any n.
     """
     n, d = x.shape
     if d == 1:
-        xs = np.sort(x[:, 0])
-        cnt = np.searchsorted(xs, hi[:, 0])
+        ranks = _rank_table(np.sort(x[:, 0]))
+        cnt = _rank(ranks, hi[:, 0])
         if lo is not None:
-            cnt = cnt - np.searchsorted(xs, lo[:, 0]) + n * (lo[:, 0] > hi[:, 0])
+            cnt = cnt - _rank(ranks, lo[:, 0]) + n * (lo[:, 0] > hi[:, 0])
         return cnt
     m = hi.shape[0]
     out = np.zeros(m, dtype=np.intp)
@@ -212,12 +251,12 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
         rows = max(1, _BLOCK_WORDS // tables[0][1].shape[1])
         for r in range(0, m, rows):
             inside = None
-            for j, (xs, table) in enumerate(tables):
+            for j, (ranks, table) in enumerate(tables):
                 hb = hi[r : r + rows, j]
-                s = table[np.searchsorted(xs, hb)]
+                s = table[_rank(ranks, hb)]
                 if lo is not None:
                     lb = lo[r : r + rows, j]
-                    s ^= table[np.searchsorted(xs, lb)]
+                    s ^= table[_rank(ranks, lb)]
                     np.bitwise_xor(s, table[-1], out=s, where=(lb > hb)[:, None])
                 inside = s if inside is None else np.bitwise_and(inside, s, out=inside)
             out[r : r + rows] += np.bitwise_count(inside).sum(axis=1, dtype=np.intp)

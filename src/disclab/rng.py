@@ -16,6 +16,11 @@ Uniform doubles take the top 53 bits: (z >> 11) * 2^-53, giving values in
 stream can be generated independently, in any order and on any number of
 workers, and reassembled deterministically. Streams are reproducible across
 platforms and easy to port to other languages.
+
+The seed enters masked to 64 bits. `raw64` mixes the counter buffer in
+place, with one scratch buffer for the shifts, and `uniform01` scales its
+doubles in place; each step is the formula's own mod-2^64 or exact
+floating-point operation, so the outputs are its bits.
 """
 
 from __future__ import annotations
@@ -37,22 +42,28 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _U64 = (1 << 64) - 1
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
-
-
 def raw64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs start .. start+count-1 of the stream, as uint64."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        return _mix(np.uint64(seed & _U64) + idx * _GAMMA)
+        z *= _GAMMA
+        z += np.uint64(seed & _U64)
+        z ^= np.right_shift(z, np.uint64(30), out=t)
+        z *= _M1
+        z ^= np.right_shift(z, np.uint64(27), out=t)
+        z *= _M2
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def uniform01(seed: int, start: int, count: int) -> np.ndarray:
     """`count` doubles in [0, 1) from stream positions start onward."""
-    return (raw64(seed, start, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = raw64(seed, start, count)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def random_point_set(n: int, d: int, seed: int) -> PointSet:

@@ -100,6 +100,16 @@ def test_oracle_thread_cap_does_not_change_bytes(tmp_path):
     assert one.stdout == four.stdout
 
 
+def test_oracle_rejects_negative_threads(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_text("0.25,0.5\n0.75,0.125\n")
+    r = run_cli("oracle", "--kind", "star", "--p", "2", "--samples", "100",
+                "--threads", "-4", "--in", str(f))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("disclab: error:") and "threads" in r.stderr
+
+
 def test_compute_thread_cap_does_not_change_bytes(tmp_path, monkeypatch, capsys):
     # n = 2100 gives three ragged block rows: six block pairs for the pool to split
     for seq, n in (("halton", 50), ("halton", 2100), ("vdc", 2100)):

@@ -174,6 +174,16 @@ def test_mc_config_rejects_non_integer_fields(args, field):
         McConfig(*args)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((0, 1), "samples"),
+    ((100, 1, -4), "threads"),
+])
+def test_mc_config_rejects_out_of_range_fields(args, field):
+    # a negative thread count used to fall through to every CPU
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        McConfig(*args)
+
+
 # ---------------------------------------------------------------------------
 # exact one-dimensional L_p
 # ---------------------------------------------------------------------------

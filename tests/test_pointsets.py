@@ -147,39 +147,62 @@ def _count_by_definition(x, lo, hi):
     ]
 
 
+# Coordinate sets that stress the rank table (`pointsets._rank`): dyadic
+# points with duplicates; many distinct values inside one bucket; values on
+# bucket edges b / B (multiples of 1/4 for every table size B here, of 1/32
+# for B >= 32) and their floating-point neighbours; a single point.
+_EDGES = np.array([0, 8, 16, 24, 1, 5, 5, 31]) / 32
+_RANK_SETS = {
+    "dyadic": np.array([0, 1, 1, 3, 4, 4, 7, 5]) / 8,
+    "one-bucket": 0.25 + np.array([0, 3, 1, 7, 2, 2, 9, 6, 5, 4]) * 1e-12,
+    "bucket-edges": np.concatenate(
+        (_EDGES, np.nextafter(_EDGES[1:], 0.0), np.nextafter(_EDGES, 1.0))
+    ),
+    "single": np.array([0.375]),
+}
+
+
+def _corners_of(x):
+    """0, 1, a coarse grid, every point value and both its neighbours."""
+    near = np.concatenate((x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)))
+    return np.unique(np.concatenate((np.arange(5) / 4, near)))
+
+
 def test_box_count_d1_fast_path_matches_mask_path_on_box_corners(monkeypatch):
-    # dyadic points, duplicates included, on a grid that also holds every
-    # box corner: each boundary rule is exercised exactly
-    x = np.array([0, 1, 1, 3, 4, 4, 7, 5]) / 8
-    corners = np.arange(9) / 8
-    lo, hi = (c.ravel() for c in np.meshgrid(corners, corners, indexing="ij"))
-    assert np.any(lo < hi) and np.any(lo == hi) and np.any(lo > hi)
-    # the same set embedded as (x, 0), with [0, 1) as the box in coordinate two
-    x2 = np.column_stack([x, np.zeros_like(x)])
-    lo2 = np.column_stack([lo, np.zeros_like(lo)])
-    hi2 = np.column_stack([hi, np.ones_like(hi)])
-    for corner, corner2 in ((None, None), (lo, lo2)):
-        fast = _count_in_boxes(x[:, None], None if corner is None else corner[:, None], hi[:, None])
-        bitset = _count_in_boxes(x2, corner2, hi2)
-        assert fast.tolist() == bitset.tolist() == _count_by_definition(x, corner, hi)
-    # a genuine d = 2 batch: the second coordinate pairs every corner pair with
-    # another one, so anchored, ordered, empty and wrapped boxes mix across
-    # coordinates; with a budget of 10 words (one word per box here) the 81
-    # boxes fall into row blocks of 10, the last one holding a single box,
-    # and groups of 3 points split the 8 points 3, 3, 2
-    xy = np.column_stack([x, x[::-1]])
-    lo_b = np.column_stack([lo, np.roll(lo, 7)])
-    hi_b = np.column_stack([hi, np.roll(hi, 7)])
-    assert np.any(lo_b[:, 0] > hi_b[:, 0]) and np.any(lo_b[:, 1] > hi_b[:, 1])
-    for corner in (None, lo_b):
-        want = _count_by_definition(xy, corner, hi_b)
-        assert _count_in_boxes(xy, corner, hi_b).tolist() == want
-        with monkeypatch.context() as mp:
-            mp.setattr(pointsets, "_BLOCK_WORDS", 10)
-            mp.setattr(pointsets, "_POINT_GROUP", 3)
-            assert hi_b.shape[0] % pointsets._BLOCK_WORDS != 0
-            assert xy.shape[0] % pointsets._POINT_GROUP != 0
-            assert _count_in_boxes(xy, corner, hi_b).tolist() == want
+    # every box corner is 0, 1, a point value or one of its neighbours, so
+    # each boundary rule is exercised exactly
+    for name, x in _RANK_SETS.items():
+        corners = _corners_of(x)
+        lo, hi = (c.ravel() for c in np.meshgrid(corners, corners, indexing="ij"))
+        assert np.any(lo < hi) and np.any(lo == hi) and np.any(lo > hi)
+        # the same set embedded as (x, 0), with [0, 1) as the box in coordinate two
+        x2 = np.column_stack([x, np.zeros_like(x)])
+        lo2 = np.column_stack([lo, np.zeros_like(lo)])
+        hi2 = np.column_stack([hi, np.ones_like(hi)])
+        for corner, corner2 in ((None, None), (lo, lo2)):
+            fast = _count_in_boxes(x[:, None], None if corner is None else corner[:, None],
+                                   hi[:, None])
+            bitset = _count_in_boxes(x2, corner2, hi2)
+            want = _count_by_definition(x, corner, hi)
+            assert fast.tolist() == bitset.tolist() == want, name
+        # a genuine d = 2 batch: the second coordinate pairs every corner pair
+        # with another one, so anchored, ordered, empty and wrapped boxes mix
+        # across coordinates; with a budget of 7 words (one word per box
+        # here) the last row block is ragged, and groups of 3 points leave a
+        # ragged last group
+        xy = np.column_stack([x, x[::-1]])
+        lo_b = np.column_stack([lo, np.roll(lo, 7)])
+        hi_b = np.column_stack([hi, np.roll(hi, 7)])
+        assert np.any(lo_b[:, 0] > hi_b[:, 0]) and np.any(lo_b[:, 1] > hi_b[:, 1])
+        for corner in (None, lo_b):
+            want = _count_by_definition(xy, corner, hi_b)
+            assert _count_in_boxes(xy, corner, hi_b).tolist() == want, name
+            with monkeypatch.context() as mp:
+                mp.setattr(pointsets, "_BLOCK_WORDS", 7)
+                mp.setattr(pointsets, "_POINT_GROUP", 3)
+                assert hi_b.shape[0] % pointsets._BLOCK_WORDS != 0
+                assert xy.shape[0] % pointsets._POINT_GROUP != 0
+                assert _count_in_boxes(xy, corner, hi_b).tolist() == want, name
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -192,20 +215,42 @@ def test_box_count_d1_fast_path_matches_mask_path_on_box_corners(monkeypatch):
     ],
 )
 def test_bitset_box_count_matches_definition(monkeypatch, d, limits):
-    # coordinates and corners on a grid of sixteenths: duplicate coordinates,
-    # corners on point coordinates and at 0 and 1, and boxes that are empty
-    # (lo == hi), ordered or wrapped, with wraps in every coordinate
+    # coordinates on a grid of sixteenths (duplicates), inside one rank-table
+    # bucket, on bucket edges and their neighbours, and a single point;
+    # corners on the grid, at 0 and 1, on point values and next to them, with
+    # boxes that are empty (lo == hi), ordered or wrapped, with wraps in every
+    # coordinate
     rng = np.random.default_rng(d)
-    x = rng.integers(0, 16, (150, d)) / 16
-    a = rng.integers(0, 17, (40, d)) / 16
-    b = rng.integers(0, 17, (40, d)) / 16
-    b[:4, d - 1] = a[:4, d - 1]
-    assert np.all(np.any(a > b, axis=0)) and np.any(a == b)
+    grid = rng.integers(0, 16, (150, d)) / 16
+    one_bucket = 0.25 + rng.integers(0, 150, (150, d)) * 1e-12
+    edges = rng.integers(0, 32, (150, d)) / 32
+    edges = np.nextafter(edges, rng.choice([0.0, 1.0], (150, d)))
+    edges[::3] = rng.integers(0, 32, (50, d)) / 32
     for k, v in limits.items():
         monkeypatch.setattr(pointsets, k, v)
-    for lo, hi in ((None, a), (np.minimum(a, b), np.maximum(a, b)), (a, b)):
-        got = _count_in_boxes(x, lo, hi)
-        assert got.tolist() == _count_by_definition(x, lo, hi)
+    for x in (grid, one_bucket, edges, grid[:1]):
+        a = rng.integers(0, 17, (40, d)) / 16
+        b = rng.integers(0, 17, (40, d)) / 16
+        rows = rng.integers(0, len(x), 12)
+        a[4:8], a[8:12], b[12:16] = x[rows[:4]], np.nextafter(x[rows[4:8]], 0.0), x[rows[8:]]
+        b[:4, d - 1] = a[:4, d - 1]
+        assert np.all(np.any(a > b, axis=0)) and np.any(a == b)
+        for lo, hi in ((None, a), (np.minimum(a, b), np.maximum(a, b)), (a, b)):
+            got = _count_in_boxes(x, lo, hi)
+            assert got.tolist() == _count_by_definition(x, lo, hi)
+
+
+@given(
+    st.lists(st.one_of(coord, st.floats(0.0, 1.0, exclude_max=True),
+                       st.integers(0, 15).map(lambda k: 0.5 + k * 1e-15)), max_size=40),
+    st.lists(st.one_of(coord, st.floats(0.0, 1.0), st.just(1.0)), min_size=1, max_size=40),
+)
+@settings(max_examples=200)
+def test_rank_table_equals_searchsorted(xs, ts):
+    xs, ts = np.sort(np.array(xs, dtype=float)), np.array(ts + xs, dtype=float)
+    ts = np.concatenate((ts, np.nextafter(ts, 0.0), np.nextafter(ts, 1.0)))
+    got = pointsets._rank(pointsets._rank_table(xs), ts)
+    assert got.tolist() == np.searchsorted(xs, ts, side="left").tolist()
 
 
 def test_empty_box_at_point_coordinate():

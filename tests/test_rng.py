@@ -15,9 +15,15 @@ def _splitmix64_reference(seed, i):
 
 
 def test_matches_scalar_reference():
-    got = raw64(42, 0, 16)
-    want = [_splitmix64_reference(42, i) for i in range(16)]
-    assert [int(x) for x in got] == want
+    # seeds outside [0, 2^64) enter the stream masked to 64 bits, and the
+    # uniforms are the top 53 bits of each output scaled by 2^-53
+    for seed in (42, 0, -1, 2**63, 2**64 - 1, 2**70):
+        for start in (0, 2**62 - 5, 2**62 + 3):
+            want = [_splitmix64_reference(seed & MASK, start + i) for i in range(16)]
+            assert [int(x) for x in raw64(seed, start, 16)] == want, (seed, start)
+            u = uniform01(seed, start, 16)
+            assert u.dtype == np.float64
+            assert u.tolist() == [(z >> 11) * 2.0**-53 for z in want], (seed, start)
 
 
 def test_known_first_output_for_seed_zero():
