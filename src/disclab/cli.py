@@ -6,11 +6,11 @@ All floating-point output is printed with 17 significant digits and every
 random quantity is driven by an explicit or default seed, so identical
 invocations produce byte-identical output. DISCLAB_THREADS caps the worker
 threads of Monte Carlo sampling (`oracle --threads` overrides it) and of the
-closed-form pair sums; results do not depend on the cap. `compute` and
-`scan` take their evaluator from `lp_oracle.estimate`; the diaphony is
-defined at p = 2 only. Exit codes: 0 success, 1 domain error (a request
-too large to allocate included), 2 usage error, 3 a verification verdict
-failed.
+closed-form pair sums, never above the CPU count; results do not depend on
+the cap. `compute` and `scan` take their evaluator from
+`lp_oracle.estimate`; the diaphony is defined at p = 2 only. Exit codes: 0
+success, 1 domain error (a request too large to allocate included), 2 usage
+error, 3 a verification verdict failed.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _make_generator(args) -> VanDerCorput | Halton:
+def _make_generator(args) -> Halton:
     """The sequence that `_add_sequence_args`'s flags name."""
     if args.family == "vdc":
         return VanDerCorput(base=args.base)

@@ -25,10 +25,13 @@ Numerically, each formula is evaluated as a single compensated pair sum of
 centered terms (per-point cross terms folded into the summand, the large
 rational constant split into two doubles), which keeps well over ten
 significant digits up to n = 2^16 even though the raw terms cancel by eight
-orders of magnitude. Every pair sum here, the truncated diaphony included,
-goes through one blocked pair sum, `_pair_sum`, with either a product kernel or
-an incrementally expanded one. It walks the upper triangle of 1024 x 1024
-blocks and doubles the off-diagonal blocks; doubling is exact in binary.
+orders of magnitude. The three L2 forms share one driver, `_l2`, which
+differs per kind only in the kernel's per-coordinate factor, the per-point
+factor (none for periodic) and the constant's sign and base: +n^2/3^d,
++n^2/12^d and -n^2/3^d. Both diaphonies share one root, `_diaphony`, which
+expands its kernel incrementally. Every pair sum goes through one blocked
+pair sum, `_pair_sum`. It walks the upper triangle of 1024 x 1024 blocks and
+doubles the off-diagonal blocks; doubling is exact in binary.
 
 A block is never built whole: `summation.strip_sum` builds it in row strips
 of at most 2^15 entries (32 rows at full width), and each strip runs the
@@ -37,9 +40,10 @@ rounding errors straight into per-level buffers at the offsets `comp_sum`
 gives them; the strips' partial sums then finish the tree. Every kernel
 gives each entry a value that depends on its two points alone, so each
 block's (value, compensation) is bit for bit comp_sum of the whole block.
-Block pairs run on the worker pool (DISCLAB_THREADS, else the CPU count up
-to 8), and their (value, compensation) pairs are added in block order by
-`summation.running_sum`, so results do not depend on the thread count.
+Block pairs run on the worker pool (DISCLAB_THREADS, else 8; never more
+than the CPU count), and their (value, compensation) pairs are added in
+block order by `summation.running_sum`, so results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -118,11 +122,41 @@ def _product_kernel(factor):
     return block
 
 
-def _incremental_kernel(term):
-    """Block kernel prod_j (1 + a_j) - 1 with a_j = term(xi_j, xj_j), expanded
-    incrementally as K + a + K a so the summand consists of O(|a|)-sized
-    terms; this preserves full relative accuracy even when the pair sum is
-    10 orders of magnitude below the number of pairs."""
+def _l2(points: PointSet, factor, point_factor, sign: int, base: int) -> float:
+    """sqrt of sum_{k,l} (prod_j factor(x_kj, x_lj) - g_k - g_l) plus the
+    constant sign n^2 / base^d, where g_k = prod_j point_factor(x_kj) (no g
+    where point_factor is None) and the constant enters as two doubles. Once
+    base^-d is below the smallest normal double, the pair-sum products have
+    underflowed too, and a GuardError is raised."""
+    points.require_nonempty()
+    x = points.coords
+    n, d = x.shape
+    g = None if point_factor is None else np.prod(point_factor(x), axis=1)
+    acc = _pair_sum(x, _product_kernel(factor), g)
+    if float(base) ** -d < sys.float_info.min:
+        raise GuardError(f"closed form underflows at d={d}: {base}^-d is not a normal double")
+    chi, clo = exact_ratio_parts(sign * n * n, base**d)
+    return math.sqrt(max(math.fsum((*acc, chi, clo)), 0.0))
+
+
+def _diaphony(points: PointSet, term) -> float:
+    """sqrt(n^-2 sum_{k,l} (prod_j (1 + a_j) - 1)) with a_j = term(x_kj, x_lj).
+
+    The summand is expanded incrementally as K + a + K a, so it consists of
+    O(|a|)-sized terms; this keeps full relative accuracy even when the pair
+    sum is 10 orders of magnitude below the number of pairs.
+
+    A GuardError is raised unless every pair term and the pair sum fit in a
+    double. Each kernel factor lies in [1 - pi^2/6, _SIGMA], and the diagonal
+    terms reach _SIGMA^d, so n^2 _SIGMA^d bounds every intermediate; the 1e-6
+    of slack in the exponent covers the rounding of the products."""
+    points.require_nonempty()
+    x = points.coords
+    n, d = x.shape
+    if d * math.log(_SIGMA) + 2.0 * math.log(n) >= math.log(sys.float_info.max) - 1e-6:
+        raise GuardError(
+            f"diaphony overflows a double at d={d}, n={n}: its diagonal terms are (1 + pi^2/3)^d"
+        )
 
     def block(xi, xj):
         K = term(xi[:, 0], xj[:, 0])
@@ -131,79 +165,32 @@ def _incremental_kernel(term):
             K = K + a + K * a
         return K
 
-    return block
-
-
-def _root(acc: tuple[float, float], num: int, c: int, d: int) -> float:
-    """sqrt of the pair sum plus the rational constant num / c^d, the constant
-    entering as two doubles. Once c^-d is below the smallest normal double,
-    the pair-sum products have underflowed too, and a GuardError is raised."""
-    if float(c) ** -d < sys.float_info.min:
-        raise GuardError(f"closed form underflows at d={d}: {c}^-d is not a normal double")
-    chi, clo = exact_ratio_parts(num, c**d)
-    return math.sqrt(max(math.fsum((*acc, chi, clo)), 0.0))
-
-
-def _require_diaphony_finite(n: int, d: int) -> None:
-    """Raise GuardError unless every diaphony pair term and the pair sum fit
-    in a double. Each kernel factor lies in [1 - pi^2/6, _SIGMA], and the
-    diagonal terms reach _SIGMA^d, so n^2 _SIGMA^d bounds every intermediate;
-    the 1e-6 of slack in the exponent covers the rounding of the products."""
-    if d * math.log(_SIGMA) + 2.0 * math.log(n) >= math.log(sys.float_info.max) - 1e-6:
-        raise GuardError(
-            f"diaphony overflows a double at d={d}, n={n}: its diagonal terms are (1 + pi^2/3)^d"
-        )
+    hi, lo = _pair_sum(x, block)
+    return math.sqrt(max((hi + lo) / (n * n), 0.0))
 
 
 def star_l2(points: PointSet) -> float:
     """Star L2 discrepancy (anchored boxes), unnormalized."""
-    points.require_nonempty()
-    x = points.coords
-    n, d = x.shape
-    g = np.prod((1.0 - x * x) / 2.0, axis=1)
-    acc = _pair_sum(x, _product_kernel(lambda u, v: 1.0 - np.maximum.outer(u, v)), g)
-    return _root(acc, n * n, 3, d)
+    return _l2(points, lambda u, v: 1.0 - np.maximum.outer(u, v),
+               lambda x: (1.0 - x * x) / 2.0, +1, 3)
 
 
 def extreme_l2(points: PointSet) -> float:
     """Extreme L2 discrepancy (arbitrary boxes), unnormalized."""
-    points.require_nonempty()
-    x = points.coords
-    n, d = x.shape
-    g = np.prod(x * (1.0 - x) / 2.0, axis=1)
-    acc = _pair_sum(
-        x, _product_kernel(lambda u, v: np.minimum.outer(u, v) - np.outer(u, v)), g
-    )
-    return _root(acc, n * n, 12, d)
+    return _l2(points, lambda u, v: np.minimum.outer(u, v) - np.outer(u, v),
+               lambda x: x * (1.0 - x) / 2.0, +1, 12)
 
 
 def periodic_l2(points: PointSet) -> float:
     """Periodic L2 discrepancy (boxes modulo one), unnormalized."""
-    points.require_nonempty()
-    x = points.coords
-    n, d = x.shape
-    acc = _pair_sum(
-        x, _product_kernel(lambda u, v: (1.0 / 3.0) + _bernoulli2(np.subtract.outer(u, v)))
-    )
-    return _root(acc, -(n * n), 3, d)
+    return _l2(points, lambda u, v: (1.0 / 3.0) + _bernoulli2(np.subtract.outer(u, v)),
+               None, -1, 3)
 
 
 def diaphony(points: PointSet) -> float:
     """Diaphony: Fourier-weighted uniformity with weights 1/r(h)^2 over
-    nonzero integer frequency vectors, normalized by n.
-
-    The summand prod_j (1 + a_j) - 1 is expanded incrementally, which keeps
-    full relative accuracy even when F^2 is 10 orders of magnitude below 1.
-    """
-    points.require_nonempty()
-    x = points.coords
-    n, d = x.shape
-    _require_diaphony_finite(n, d)
-    hi, lo = _pair_sum(
-        x, _incremental_kernel(lambda u, v: _TWO_PI_SQ * _bernoulli2(np.subtract.outer(u, v)))
-    )
-    f2 = (hi + lo) / (n * n)
-    return math.sqrt(max(f2, 0.0))
+    nonzero integer frequency vectors, normalized by n."""
+    return _diaphony(points, lambda u, v: _TWO_PI_SQ * _bernoulli2(np.subtract.outer(u, v)))
 
 
 def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
@@ -229,9 +216,6 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
     points.require_nonempty()
     if h_max < 1:
         raise ValueError(f"frequency cutoff must be >= 1, got {h_max}")
-    x = points.coords
-    n, d = x.shape
-    _require_diaphony_finite(n, d)
     h = np.arange(h_max, 0, -1, dtype=np.float64)
     w = 2.0 / (h * h)
     two_pi_h = 2.0 * math.pi * h
@@ -245,8 +229,6 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
             out += t
         return out
 
-    hi, lo = _pair_sum(x, _incremental_kernel(g_minus_one))
-    t2 = max((hi + lo) / (n * n), 0.0)
+    value = _diaphony(points, g_minus_one)
     sigma_h = 1.0 + float(np.sum(w))
-    bound = _SIGMA**d - sigma_h**d
-    return math.sqrt(t2), bound
+    return value, _SIGMA**points.d - sigma_h**points.d

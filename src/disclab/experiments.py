@@ -18,7 +18,7 @@ from .lp_oracle import _LINF_MAX_D, _LINF_MAX_N, McConfig, estimate, mc_lp
 from .pointsets import PointSet
 from .prefix_scan import prefix_discrepancies
 from .rng import random_point_set
-from .sequences import SequenceGen, VanDerCorput, lift, prefix
+from .sequences import Halton, VanDerCorput, lift, prefix
 
 __all__ = [
     "ScanRow",
@@ -152,7 +152,7 @@ DEFAULT_LEMMA_CAP = 1024
 
 
 def prefix_transference_verify(
-    gen: SequenceGen,
+    gen: Halton,
     n_max: int,
     p: float = 2.0,
     mc: McConfig | None = None,
@@ -173,8 +173,9 @@ def prefix_transference_verify(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > DEFAULT_LEMMA_CAP:
-        raise GuardError(f"n_max={n_max} exceeds the cap {DEFAULT_LEMMA_CAP}; "
-                         "the prefix maximum costs O(N^3)")
+        raise GuardError(f"n_max={n_max} exceeds the cap {DEFAULT_LEMMA_CAP}; the lifted "
+                         "closed forms cost O(N^2 d) at each dyadic N, and the prefix "
+                         "closed forms O(N^3 d) in d >= 2")
     if p != 2.0 and mc is None:
         raise ValueError("p != 2 requires a Monte Carlo config")
     d = gen.d
@@ -267,7 +268,7 @@ class ScanResult:
 
 
 def growth_scan(
-    gen: SequenceGen,
+    gen: Halton,
     kind: str,
     p: float,
     ns: list[int],
@@ -299,7 +300,7 @@ def growth_scan(
     )
 
 
-def diaphony_scan(gen: SequenceGen, ns: list[int]) -> ScanResult:
+def diaphony_scan(gen: Halton, ns: list[int]) -> ScanResult:
     """Diaphony against its (log n)^{d/2} / n reference rate."""
     return growth_scan(gen, "diaphony", 2.0, ns)
 

@@ -61,7 +61,7 @@ class McConfig:
 
     samples: int
     seed: int
-    threads: int = 0  # 0: take DISCLAB_THREADS, else cpu count
+    threads: int = 0  # 0: take DISCLAB_THREADS, else cpu count; at most cpu count
 
     def __post_init__(self) -> None:
         for name in ("samples", "seed", "threads"):
@@ -336,9 +336,9 @@ _LINF_MAX_D = 2
 
 
 def linf_exact_small(points: PointSet, kind: str) -> float:
-    """Exact supremum discrepancy for d <= 2, n <= 64: in d = 1 the
-    one-dimensional scan `linf_star_1d` or `linf_extreme_1d`, in d = 2 an
-    enumeration of critical corners.
+    """Exact supremum discrepancy for d <= 2: in d = 1 the O(n) scan
+    `linf_star_1d` or `linf_extreme_1d` at any n, in d = 2 an enumeration
+    of critical corners for n <= 64.
 
     Candidate thresholds per axis are the point coordinates plus 0 and 1.
     The positive part of the supremum closes the box around its points
@@ -350,8 +350,9 @@ def linf_exact_small(points: PointSet, kind: str) -> float:
     if kind not in ("star", "extreme"):
         raise ValueError(f"kind must be 'star' or 'extreme', got {kind!r}")
     n, d = points.n, points.d
-    if d > _LINF_MAX_D or n > _LINF_MAX_N:
-        raise GuardError(f"exact enumeration is limited to d <= {_LINF_MAX_D}, n <= {_LINF_MAX_N}")
+    if d > _LINF_MAX_D or (d == 2 and n > _LINF_MAX_N):
+        raise GuardError(f"exact enumeration is limited to d <= {_LINF_MAX_D}, "
+                         f"and to n <= {_LINF_MAX_N} in d = 2")
     if d == 1:
         return (linf_star_1d if kind == "star" else linf_extreme_1d)(points)
     return _linf_small_2d(points.coords, kind)

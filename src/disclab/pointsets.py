@@ -265,17 +265,14 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
 
 def _thread_count(requested: int = 0) -> int:
     """Worker cap: `requested` if positive, else DISCLAB_THREADS if positive,
-    else the CPU count, at most 8."""
-    if requested > 0:
-        return requested
-    env = os.environ.get("DISCLAB_THREADS", "0")
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap > 0:
-        return cap
-    return min(os.cpu_count() or 1, 8)
+    else 8; never more than the CPU count, since each worker in flight holds
+    its own block or chunk buffers."""
+    if requested <= 0:
+        try:
+            requested = int(os.environ.get("DISCLAB_THREADS", "0"))
+        except ValueError:
+            requested = 0
+    return min(requested if requested > 0 else 8, os.cpu_count() or 1)
 
 
 def _ordered_map(fn, items: list, threads: int = 0) -> list:

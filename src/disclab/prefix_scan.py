@@ -30,6 +30,13 @@ one compensated scalar sum per running sum) forms it, so the values are that
 engine's, bit for bit, on any input. The residual error of a prefix value is
 O(eps * n^2), i.e. about 1e-7 absolute at n = 2^16, ample for scan and
 envelope work (the full-accuracy path is `exact_l2`).
+
+Every call forms all three running sums and finishes all four values;
+`kinds` only picks the arrays returned. Memory is freed in a fixed order,
+which keeps the peak near that of a single kind: the three term arrays are
+formed, then the four rank-count arrays are deleted, each term array is
+freed once its running sum is taken, and each sum once its value is
+finished.
 """
 
 from __future__ import annotations
@@ -68,29 +75,24 @@ def prefix_discrepancies(
     c_above = np.arange(n_total) - c_below
     # ties carry stable ranks, so an equal value inserted earlier lands in
     # the "below" group, where max/min/absdiff treat it correctly
-    terms = {}
-    if "star" in kinds:
-        terms["max"] = 2.0 * (x * c_below + s_above) + x
-    if "extreme" in kinds:
-        terms["min"] = 2.0 * (s_below + x * c_above) + x
-    if "periodic" in kinds or "diaphony" in kinds:
-        terms["absdiff"] = (x * c_below - s_below) + (s_above - x * c_above)
+    terms = {
+        "max": 2.0 * (x * c_below + s_above) + x,
+        "min": 2.0 * (s_below + x * c_above) + x,
+        "absdiff": (x * c_below - s_below) + (s_above - x * c_above),
+    }
     del c_below, s_below, s_above, c_above
-    # each term array is freed as its running sum is formed: a lower peak
+    # each term array is freed as its running sum is formed, and each sum as
+    # its value is finished (see the module docstring)
     sums = {k: np.add(*running_sum(terms.pop(k))) for k in list(terms)}
     sum_x2 = np.add(*running_sum(x * x))
     n = np.arange(1.0, n_total + 1.0)
-    out = {}
-    if "max" in sums:
-        out["star"] = np.sqrt(np.maximum(n * sum_x2 - sums.pop("max") + n * n / 3.0, 0.0))
-    if "min" in sums:
-        sq = (sums.pop("min") - sum_x * sum_x) - n * (sum_x - sum_x2) + n * n / 12.0
-        out["extreme"] = np.sqrt(np.maximum(sq, 0.0))
-    if "absdiff" in sums:
-        b = 2.0 * (n * sum_x2 - sum_x * sum_x) - 2.0 * sums.pop("absdiff") + n * n / 6.0
-        b = np.maximum(b, 0.0)
-        out["periodic"] = np.sqrt(b)
-        out["diaphony"] = np.sqrt(2.0 * math.pi**2 * b) / n
+    out = {"star": np.sqrt(np.maximum(n * sum_x2 - sums.pop("max") + n * n / 3.0, 0.0))}
+    sq = (sums.pop("min") - sum_x * sum_x) - n * (sum_x - sum_x2) + n * n / 12.0
+    out["extreme"] = np.sqrt(np.maximum(sq, 0.0))
+    b = 2.0 * (n * sum_x2 - sum_x * sum_x) - 2.0 * sums.pop("absdiff") + n * n / 6.0
+    b = np.maximum(b, 0.0)
+    out["periodic"] = np.sqrt(b)
+    out["diaphony"] = np.sqrt(2.0 * math.pi**2 * b) / n
     return {k: out[k] for k in kinds}
 
 

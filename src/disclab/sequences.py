@@ -1,7 +1,8 @@
 """Deterministic low-discrepancy sequence generators and the lifting map.
 
-`VanDerCorput` and `Halton` are stateless: the k-th term is a pure function
-of k, so prefixes are reproducible and terms can be queried concurrently.
+`Halton` is stateless: the k-th term is a pure function of k, so prefixes
+are reproducible and terms can be queried concurrently. `VanDerCorput` is
+the one-base `Halton`; it differs only in its name, its repr and `.base`.
 `lift` appends the equispaced coordinate k/n to the first n terms, producing
 a (d+1)-dimensional point set whose last coordinates are exactly
 {0, 1/n, ..., (n-1)/n}.
@@ -50,32 +51,6 @@ def radical_inverses(k: np.ndarray, base: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VanDerCorput:
-    """One-dimensional radical-inverse sequence in a fixed base (default 2)."""
-
-    base: int = 2
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-
-    @property
-    def d(self) -> int:
-        return 1
-
-    @property
-    def name(self) -> str:
-        return f"vdc(base={self.base})"
-
-    @property
-    def bases(self) -> tuple[int, ...]:
-        return (self.base,)
-
-    def term(self, k: int) -> tuple[float, ...]:
-        return (radical_inverse(k, self.base),)
-
-
-@dataclass(frozen=True)
 class Halton:
     """Componentwise radical inverses in pairwise coprime bases."""
 
@@ -108,10 +83,26 @@ class Halton:
         return tuple(radical_inverse(k, b) for b in self.bases)
 
 
-SequenceGen = VanDerCorput | Halton
+class VanDerCorput(Halton):
+    """One-dimensional radical-inverse sequence in a fixed base (default 2):
+    the one-base `Halton`."""
+
+    def __init__(self, base: int = 2) -> None:
+        super().__init__((base,))
+
+    @property
+    def base(self) -> int:
+        return self.bases[0]
+
+    @property
+    def name(self) -> str:
+        return f"vdc(base={self.base})"
+
+    def __repr__(self) -> str:
+        return f"VanDerCorput(base={self.base})"
 
 
-def prefix(gen: SequenceGen, n: int) -> PointSet:
+def prefix(gen: Halton, n: int) -> PointSet:
     """Point set of the first n terms, in generator order."""
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
@@ -119,7 +110,7 @@ def prefix(gen: SequenceGen, n: int) -> PointSet:
     return PointSet(np.column_stack([radical_inverses(k, b) for b in gen.bases]))
 
 
-def lift(source: SequenceGen | PointSet, n: int) -> PointSet:
+def lift(source: Halton | PointSet, n: int) -> PointSet:
     """First n terms with k/n appended: the set {(y_k, k/n) : k < n} in
     dimension d+1."""
     if n < 1:

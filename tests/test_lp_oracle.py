@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from disclab import (
     star_l2,
     uniform01,
 )
-from disclab import lp_oracle
+from disclab import lp_oracle, pointsets
 from disclab.pointsets import (
     METHOD_CLOSED_FORM,
     METHOD_GRID_ENUM,
@@ -70,7 +71,8 @@ def test_mc_bitwise_reproducible():
     assert (a.value, a.stderr) == (b.value, b.stderr)
 
 
-def test_mc_independent_of_thread_count():
+def test_mc_independent_of_thread_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that 4 threads run on any host
     p = random_point_set(16, 3, 6)
     one = mc_lp(p, McConfig(200_000, 9, threads=1), "extreme", 2.0)
     four = mc_lp(p, McConfig(200_000, 9, threads=4), "extreme", 2.0)
@@ -80,6 +82,32 @@ def test_mc_independent_of_thread_count():
     one = mc_lp(p, McConfig((1 << 16) + 1000, 10, threads=1), "periodic", 1.5)
     two = mc_lp(p, McConfig((1 << 16) + 1000, 10, threads=2), "periodic", 1.5)
     assert (one.value, one.stderr) == (two.value, two.stderr)
+
+
+def test_worker_count_never_exceeds_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert pointsets._thread_count(10**6) == 2
+    monkeypatch.setenv("DISCLAB_THREADS", "1000000")
+    assert pointsets._thread_count() == 2
+    asked = []
+
+    class RecordingExecutor:  # runs nothing on threads; records the worker count asked for
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pointsets, "ThreadPoolExecutor", RecordingExecutor)
+    for threads in (10**6, 0):
+        mc_lp(random_point_set(16, 2, 6), McConfig(200_000, 9, threads=threads), "star", 2.0)
+    assert asked == [2, 2]
 
 
 def _chunk_peak_bytes(n: int, d: int = 2, kind: str = "extreme") -> int:
@@ -545,6 +573,10 @@ def test_linf_small_guards():
         linf_exact_small(random_point_set(65, 2, 0), "star")
     with pytest.raises(GuardError):
         linf_exact_small(random_point_set(8, 3, 0), "star")
+    # the n <= 64 limit bounds the d = 2 enumeration only; d = 1 is an O(n) scan
+    p = prefix(VanDerCorput(2), 100)
+    assert linf_exact_small(p, "star") == linf_star_1d(p) == estimate(p, "star", math.inf).value
+    assert linf_exact_small(p, "extreme") == linf_extreme_1d(p)
 
 
 # ---------------------------------------------------------------------------

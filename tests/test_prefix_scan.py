@@ -153,9 +153,11 @@ def fenwick_reference(values, kinds=KINDS):
 
 def assert_same_bits(values, kinds):
     got, want = prefix_discrepancies(values, kinds), fenwick_reference(values, kinds)
+    every = prefix_discrepancies(values)
     assert list(got) == list(want)
     for k in want:
         assert got[k].dtype == np.float64 and np.array_equal(got[k], want[k]), k
+        assert got[k].tobytes() == every[k].tobytes(), k  # a subset is its kinds' arrays
 
 
 kind_subsets = st.lists(st.sampled_from(KINDS), min_size=1, max_size=4, unique=True).map(tuple)

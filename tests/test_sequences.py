@@ -94,6 +94,17 @@ def test_halton_requires_coprime_bases():
     Halton((2, 3, 5))  # fine
 
 
+def test_vdc_is_the_one_base_halton():
+    g = VanDerCorput(3)
+    assert repr(g) == "VanDerCorput(base=3)" and g.name == "vdc(base=3)"
+    assert g.base == 3 and g.bases == (3,) and g.d == 1
+    assert g == VanDerCorput(3) and hash(g) == hash(VanDerCorput(3))
+    assert g != Halton((3,)) and g != VanDerCorput(2)
+    assert repr(VanDerCorput()) == "VanDerCorput(base=2)"
+    with pytest.raises(ValueError):
+        VanDerCorput(1)
+
+
 def test_prefix_requires_positive_length():
     with pytest.raises(ValueError):
         prefix(VanDerCorput(2), 0)
