@@ -47,8 +47,6 @@ def main() -> int:
     print("\ndyadic running-max envelope (star), ratio to log n:")
     for k in range(4, args.max_n.bit_length()):
         n = 2**k
-        if n > args.max_n:
-            break
         print(f"  n=2^{k:<2d} env={star_env[n - 1]:.6f} env/log n={star_env[n - 1] / math.log(n):.6f}")
     print(f"limiting constant 1/(6 log 2) = {VDC_STAR_TARGET:.6f}")
     return 0

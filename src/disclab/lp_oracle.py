@@ -331,14 +331,10 @@ def linf_extreme_1d(points: PointSet) -> float:
     return best
 
 
-_LINF_MAX_N = 64
-_LINF_MAX_D = 2
-
-
 def linf_exact_small(points: PointSet, kind: str) -> float:
-    """Exact supremum discrepancy for d <= 2: in d = 1 the O(n) scan
-    `linf_star_1d` or `linf_extreme_1d` at any n, in d = 2 an enumeration
-    of critical corners for n <= 64.
+    """Exact supremum discrepancy: in d = 1 the O(n) scan `linf_star_1d` or
+    `linf_extreme_1d` at any n, in d = 2 an enumeration of critical corners
+    for n <= 64, GuardError elsewhere.
 
     Candidate thresholds per axis are the point coordinates plus 0 and 1.
     The positive part of the supremum closes the box around its points
@@ -350,9 +346,8 @@ def linf_exact_small(points: PointSet, kind: str) -> float:
     if kind not in ("star", "extreme"):
         raise ValueError(f"kind must be 'star' or 'extreme', got {kind!r}")
     n, d = points.n, points.d
-    if d > _LINF_MAX_D or (d == 2 and n > _LINF_MAX_N):
-        raise GuardError(f"exact enumeration is limited to d <= {_LINF_MAX_D}, "
-                         f"and to n <= {_LINF_MAX_N} in d = 2")
+    if d > 2 or (d == 2 and n > 64):
+        raise GuardError("exact enumeration is limited to d <= 2, and to n <= 64 in d = 2")
     if d == 1:
         return (linf_star_1d if kind == "star" else linf_extreme_1d)(points)
     return _linf_small_2d(points.coords, kind)
@@ -393,7 +388,7 @@ def _linf_small_2d(pts: np.ndarray, kind: str) -> float:
 def estimate(points: PointSet, kind: str, p: float, mc: McConfig | None = None) -> Estimate:
     """The evaluator for one (kind, p, d) request, in rule order:
 
-    - p = inf: the exact supremum, star and extreme only;
+    - p = inf: `linf_exact_small`, star and extreme only;
     - diaphony: its closed form, p = 2 only;
     - p = 2: the `exact_l2` closed form;
     - d = 1, star or extreme: piecewise-exact integration;
@@ -409,10 +404,8 @@ def estimate(points: PointSet, kind: str, p: float, mc: McConfig | None = None) 
     if math.isinf(p):
         if kind not in ("star", "extreme"):
             raise DisclabError("p=inf supports kinds star and extreme only")
-        if d == 1:
-            value = (linf_star_1d if kind == "star" else linf_extreme_1d)(points)
-            return Estimate(kind, p, value, METHOD_PIECEWISE, n, d)
-        return Estimate(kind, p, linf_exact_small(points, kind), METHOD_GRID_ENUM, n, d)
+        method = METHOD_PIECEWISE if d == 1 else METHOD_GRID_ENUM
+        return Estimate(kind, p, linf_exact_small(points, kind), method, n, d)
     if kind == "diaphony" and p != 2.0:
         raise DisclabError("diaphony is a quadratic quantity; use --p 2")
     if p == 2.0:

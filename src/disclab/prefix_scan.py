@@ -46,16 +46,15 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .lp_oracle import KINDS
 from .pointsets import PointSet
 from .summation import running_sum
 
 __all__ = ["prefix_discrepancies"]
 
-_KINDS = ("star", "extreme", "periodic", "diaphony")
-
 
 def prefix_discrepancies(
-    values: np.ndarray | PointSet, kinds: tuple[str, ...] = _KINDS
+    values: np.ndarray | PointSet, kinds: tuple[str, ...] = KINDS
 ) -> dict[str, np.ndarray]:
     """Values of the requested discrepancies for every prefix of a 1-d
     sequence, index i holding the value for the first i+1 points."""
@@ -66,7 +65,7 @@ def prefix_discrepancies(
     else:
         x = np.asarray(values, dtype=np.float64).ravel()
     for k in kinds:
-        if k not in _KINDS:
+        if k not in KINDS:
             raise ValueError(f"unknown kind {k!r}")
     n_total = x.size
     c_below, s_below = _below(x)

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from disclab import extreme_l2, random_point_set, read_points, write_points
+from disclab import cli, extreme_l2, random_point_set, read_points, write_points
 from disclab.cli import main
+from disclab.experiments import CaseCheck, VerdictReport
 
 
 def run_cli(*args, env=None):
@@ -89,14 +90,19 @@ def test_oracle_reproducible_bytes(tmp_path):
     assert payload["stderr"] > 0.0
 
 
-def test_oracle_thread_cap_does_not_change_bytes(tmp_path):
+def test_oracle_thread_cap_does_not_change_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that caps 3 and 4 run on any host
     f = tmp_path / "p.csv"
     f.write_text("0.25,0.5\n0.75,0.125\n")
-    args = ("oracle", "--kind", "star", "--p", "2", "--samples", "150000",
-            "--seed", "7", "--in", str(f))
-    one = run_cli(*args, env={"DISCLAB_THREADS": "1"})
-    four = run_cli(*args, env={"DISCLAB_THREADS": "4"})
-    assert one.stdout == four.stdout
+    # 300000 samples are five chunks, so all four workers get a chunk
+    args = ["oracle", "--kind", "star", "--p", "2", "--samples", "300000",
+            "--seed", "7", "--in", str(f)]
+    outs = set()
+    for cap in ("1", "2", "3", "4"):
+        monkeypatch.setenv("DISCLAB_THREADS", cap)
+        assert main(args) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
 
 
 def test_oracle_rejects_negative_threads(tmp_path):
@@ -204,7 +210,7 @@ def test_scan_empty_schedule_is_domain_error(ns):
     "ns",
     ["0..4", "-3..8:geometric", "2..64:geometric:inf", "2..64:geometric:nan",
      "2..64:geometric:1.0000000001", "2..64:geometric:x", "2..64:linear:0",
-     "2..64:linear:x", "1..99999999999999999999"],
+     "2..64:linear:x", "1..99999999999999999999", "5..5:geometric:1.000000000000001"],
 )
 def test_scan_bad_schedule_is_domain_error(ns):
     # each of these once looped forever, ended in a traceback or printed a
@@ -243,6 +249,20 @@ def test_verify_inequalities_exit_zero():
     r = run_cli("verify", "--suite", "inequalities", "--trials", "10",
                 "--dims", "1", "--n", "16")
     assert r.returncode == 0
+
+
+def test_verify_verdict_reads_passed_or_every_check(monkeypatch, capsys):
+    # the byte corpus pins passing VerdictReport suites and failing
+    # check-dict suites; these are the two other cases
+    failed = CaseCheck("extreme_l2<=star_l2", 2.0, 1.0, -1.0, False)
+    monkeypatch.setattr(cli, "inequality_suite",
+                        lambda **kw: VerdictReport("inequalities", [failed]))
+    monkeypatch.setattr(cli, "vdc_exponent_report",
+                        lambda max_n: {"checks": {"a": True, "b": True}})
+    assert main(["verify", "--suite", "inequalities"]) == 3
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    assert main(["verify", "--suite", "growth"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"checks": {"a": True, "b": True}}
 
 
 def test_exit_code_domain_error(tmp_path):

@@ -32,11 +32,15 @@ def test_inequality_suite_small_run_passes():
 
 
 def test_inequality_suite_d2_includes_linf_sandwich():
-    rep = inequality_suite(trials=5, dims=(2,), n=24, seed=6)
-    claims = {c.claim for c in rep.cases}
-    assert "linf_star<=linf_extreme" in claims
-    assert "linf_extreme<=2^d*linf_star" in claims
-    assert rep.passed
+    # the sandwich runs wherever an exact supremum exists: d = 1 at any n,
+    # d = 2 for n <= 64; in d = 3 only the two p = 2 claims remain
+    p2 = {"extreme_l2<=star_l2", "extreme_l2<=periodic_l2"}
+    sandwich = {"linf_star<=linf_extreme", "linf_extreme<=2^d*linf_star"}
+    for d, n, claims in ((2, 24, p2 | sandwich), (1, 100, p2 | sandwich), (3, 16, p2)):
+        rep = inequality_suite(trials=5, dims=(d,), n=n, seed=6)
+        assert set(rep.meta["worst_margins"]) == claims, (d, n)
+        assert {c.claim for c in rep.cases} == claims, (d, n)
+        assert rep.passed
 
 
 def test_inequality_suite_report_dict_shape():
