@@ -76,7 +76,12 @@ class McConfig:
 
 def _sample_terms(pts: np.ndarray, kind: str, p: float, u: np.ndarray) -> np.ndarray:
     """|D|^p of the samples whose uniforms are the rows of u: d of them for
-    star, corner a then corner b for the two-corner kinds."""
+    star, corner a then corner b for the two-corner kinds. u is Fortran
+    ordered, so min/max, the volume product and the box counter read whole
+    columns. An extreme box never wraps, so its volume skips the wrap term
+    (adding 0.0 to hi - lo >= +0.0 changes no bit). The other steps run in
+    place, the same operations on the same operands as `|count - n vol|^p`,
+    so the chunk holds fewer temporaries."""
     n, d = pts.shape
     if kind == "star":
         lo, hi = None, u
@@ -85,11 +90,17 @@ def _sample_terms(pts: np.ndarray, kind: str, p: float, u: np.ndarray) -> np.nda
         a, b = u[:, :d], u[:, d:]
         if kind == "extreme":
             lo, hi = np.minimum(a, b), np.maximum(a, b)
+            vol = (hi - lo).prod(axis=1)
         else:  # periodic: unordered corners wrap where a > b
             lo, hi = a, b
-        vol = (hi - lo + (lo > hi)).prod(axis=1)
-    delta = _count_in_boxes(pts, lo, hi) - n * vol
-    return np.abs(delta) ** p
+            vol = hi - lo
+            vol += lo > hi
+            vol = vol.prod(axis=1)
+    y = n * vol
+    np.subtract(_count_in_boxes(pts, lo, hi), y, out=y)
+    np.abs(y, out=y)
+    y **= p
+    return y
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -99,7 +110,12 @@ def _chunk_moments(pts: np.ndarray, kind: str, p: float, seed: int, start: int, 
     Stream layout: sample s consumes positions [s*w, (s+1)*w) where w = d for
     star and 2d otherwise. Samples go through `_sample_terms` in sub-blocks of
     at most _DRAW_WORDS uniforms, so memory does not grow with d; a sample's
-    term depends on its own draws alone, and y is summed once.
+    term depends on its own draws alone, and y is summed once. A sub-block's
+    uniforms are drawn coordinate-major: column j is the stride-w run from
+    position s*w + j, written into row j of a (w, m) array whose transpose is
+    the Fortran-ordered (m, w) block. Each sample keeps its draws, and the
+    volume product over a row is the same left-to-right product in either
+    layout.
     """
     d = pts.shape[1]
     width = d if kind == "star" else 2 * d
@@ -107,9 +123,11 @@ def _chunk_moments(pts: np.ndarray, kind: str, p: float, seed: int, start: int, 
     ys = []
     for s in range(start, start + count, step):
         m = min(step, start + count - s)
-        u = uniform01(seed, s * width, m * width).reshape(m, width)
-        ys.append(_sample_terms(pts, kind, p, u))
-    y = np.concatenate(ys)
+        u = np.empty((width, m))
+        for j in range(width):
+            u[j] = uniform01(seed, s * width + j, m, stride=width)
+        ys.append(_sample_terms(pts, kind, p, u.T))
+    y = ys[0] if len(ys) == 1 else np.concatenate(ys)
     if kind == "extreme":
         # min/max folding doubles the density per coordinate on {u <= v}
         y *= 2.0 ** (-d)

@@ -164,12 +164,15 @@ class Estimate:
 
 
 # Points per group of bitset tables (fewer in high d, so one group's d tables
-# stay near _TABLE_WORDS uint64 words), uint64 words per box row block, and
-# the most buckets in one rank table.
+# stay near _TABLE_WORDS uint64 words), uint64 words per box row block, the
+# most buckets in one rank table, and the widest bitset row whose popcounts
+# are added a word column at a time: a row-wise sum over a few words is
+# mostly per-row overhead, and a column loop costs more from about 24 words.
 _POINT_GROUP = 1 << 12
 _TABLE_WORDS = 1 << 20
 _BLOCK_WORDS = 1 << 15
 _MAX_BUCKETS = 1 << 16
+_COLUMN_SUM_WORDS = 16
 
 
 def _rank_table(xs: np.ndarray) -> tuple[int, np.ndarray, int, np.ndarray]:
@@ -198,13 +201,13 @@ def _rank(table: tuple[int, np.ndarray, int, np.ndarray], t: np.ndarray) -> np.n
     bucket b's points below t, fewer than 2^k. k branch-free doubling steps
     count those; a step reads past the bucket only where the value is >= t
     (the next bucket or the +inf padding). t = 1.0 falls in bucket B, where
-    start[B] = n.
+    start[B] = n. The reads are `np.take`, cheaper than fancy indexing.
     """
     buckets, start, k, xe = table
-    r = start[(t * buckets).astype(np.intp)]
+    r = np.take(start, (t * buckets).astype(np.intp))
     for i in reversed(range(k)):
         step = 1 << i
-        r += (xe[step - 1 :][r] < t) * step
+        r += (np.take(xe[step - 1 :], r) < t) * step
     return r
 
 
@@ -235,6 +238,13 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
     the and over coordinates. Points go in groups of at most _POINT_GROUP,
     each with its own tables, and boxes in row blocks of _BLOCK_WORDS words,
     each ranked where it is read, so memory stays bounded at any n.
+
+    Rows are gathered with `np.take`, up to ten times faster than `table[r]`;
+    the wrap xor runs only in a row block where some box wraps, as a gather
+    of row 0 (empty) or the last row (full); rows of up to _COLUMN_SUM_WORDS
+    words add their popcounts a word column at a time. Fortran-ordered
+    corners, as the oracle passes them, make each lo[:, j] and hi[:, j]
+    contiguous.
     """
     n, d = x.shape
     if d == 1:
@@ -253,13 +263,21 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
             inside = None
             for j, (ranks, table) in enumerate(tables):
                 hb = hi[r : r + rows, j]
-                s = table[_rank(ranks, hb)]
+                s = np.take(table, _rank(ranks, hb), axis=0)
                 if lo is not None:
                     lb = lo[r : r + rows, j]
-                    s ^= table[_rank(ranks, lb)]
-                    np.bitwise_xor(s, table[-1], out=s, where=(lb > hb)[:, None])
+                    s ^= np.take(table, _rank(ranks, lb), axis=0)
+                    wrap = lb > hb
+                    if wrap.any():  # row 0 is empty, the last row full
+                        s ^= np.take(table, wrap * (table.shape[0] - 1), axis=0)
                 inside = s if inside is None else np.bitwise_and(inside, s, out=inside)
-            out[r : r + rows] += np.bitwise_count(inside).sum(axis=1, dtype=np.intp)
+            bits = np.bitwise_count(inside)
+            if bits.shape[1] <= _COLUMN_SUM_WORDS:
+                block = out[r : r + rows]
+                for column in bits.T:
+                    block += column
+            else:
+                out[r : r + rows] += bits.sum(axis=1, dtype=np.intp)
     return out
 
 

@@ -42,9 +42,10 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _U64 = (1 << 64) - 1
 
 
-def raw64(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start .. start+count-1 of the stream, as uint64."""
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+def raw64(seed: int, start: int, count: int, stride: int = 1) -> np.ndarray:
+    """Outputs start, start+stride, .. start+(count-1)*stride of the stream,
+    as uint64."""
+    z = np.arange(start + 1, start + count * stride + 1, stride, dtype=np.uint64)
     t = np.empty_like(z)
     with np.errstate(over="ignore"):
         z *= _GAMMA
@@ -57,9 +58,14 @@ def raw64(seed: int, start: int, count: int) -> np.ndarray:
     return z
 
 
-def uniform01(seed: int, start: int, count: int) -> np.ndarray:
-    """`count` doubles in [0, 1) from stream positions start onward."""
-    z = raw64(seed, start, count)
+def uniform01(seed: int, start: int, count: int, stride: int = 1) -> np.ndarray:
+    """`count` doubles in [0, 1) from stream positions start, start+stride,
+    .. start+(count-1)*stride: with stride k, every k-th double of
+    `uniform01(seed, start, count * k)`, so a caller reads one column of a
+    row-major layout of k values per row as one contiguous array."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    z = raw64(seed, start, count, stride)
     z >>= np.uint64(11)
     u = z.astype(np.float64)
     u *= 2.0**-53

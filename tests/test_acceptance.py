@@ -14,8 +14,7 @@ the raw checks unchanged.
 """
 
 import math
-import subprocess
-import sys
+import os
 import time
 from fractions import Fraction
 
@@ -42,6 +41,7 @@ from disclab import (
     vdc_exponent_report,
     vdc_star_constant,
 )
+from disclab.cli import main
 from disclab.experiments import VDC_STAR_TARGET
 
 
@@ -318,39 +318,38 @@ def test_acceptance_growth_exponent_star(exponent_report, envelopes):
 # 8 -------------------------------------------------------------------------
 
 
-def _run_cli(*args, env=None):
-    import os
+def test_acceptance_reproducibility(tmp_path, monkeypatch, capsys):
+    # in-process with the CPU count patched, so that a cap of 8 runs eight
+    # workers on any host (the cap is clamped to the CPU count)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
-    full = dict(os.environ)
-    if env:
-        full.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "disclab.cli", *args],
-        capture_output=True,
-        text=True,
-        env=full,
-    )
+    def run(*args, threads):
+        monkeypatch.setenv("DISCLAB_THREADS", threads)
+        code = main(list(args))
+        return code, capsys.readouterr().out
 
-
-def test_acceptance_reproducibility(tmp_path):
     f = tmp_path / "pts.csv"
-    _run_cli("gen", "--kind", "halton", "--bases", "2,3", "--n", "32", "--out", str(f))
+    run("gen", "--kind", "halton", "--bases", "2,3", "--n", "32", "--out", str(f), threads="1")
+    # 600000 samples are ten chunks, so all eight workers get one
     oracle_args = (
         "oracle", "--kind", "extreme", "--p", "1.5",
-        "--samples", "100000", "--seed", "42", "--in", str(f),
+        "--samples", "600000", "--seed", "42", "--in", str(f),
     )
-    a, b = _run_cli(*oracle_args), _run_cli(*oracle_args)
-    same_oracle = a.stdout == b.stdout and a.returncode == b.returncode == 0
+    a, b, c = (run(*oracle_args, threads=t) for t in ("1", "8", "8"))
+    same_oracle = a == b == c and a[0] == 0
 
-    compute_args = ("compute", "--kind", "star", "--p", "2", "--in", str(f))
-    one = _run_cli(*compute_args, env={"DISCLAB_THREADS": "1"})
-    many = _run_cli(*compute_args, env={"DISCLAB_THREADS": "8"})
-    same_exact = one.stdout == many.stdout and one.returncode == 0
+    # 4100 points are five block rows, fifteen block pairs for eight workers
+    g = tmp_path / "pts4100.csv"
+    run("gen", "--kind", "halton", "--bases", "2,3", "--n", "4100", "--out", str(g), threads="1")
+    compute_args = ("compute", "--kind", "star", "--p", "2", "--in", str(g))
+    one, many = (run(*compute_args, threads=t) for t in ("1", "8"))
+    same_exact = one == many and one[0] == 0
 
     ok = _verdict(
         "reproducibility",
         same_oracle and same_exact,
-        "oracle reruns byte-identical; exact kernel invariant to thread cap",
+        "oracle reruns byte-identical and invariant to thread cap 1 vs 8; "
+        "exact kernel invariant to thread cap",
     )
     assert ok
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from disclab import random_point_set, uniform01
 from disclab.rng import raw64
@@ -52,3 +53,19 @@ def test_random_point_set_layout():
 
 def test_distinct_seeds_differ():
     assert not np.array_equal(uniform01(1, 0, 64), uniform01(2, 0, 64))
+
+
+def test_uniform01_stride_reads_every_kth_double():
+    # odd starts, near 2^62 too, and a count of one
+    for k in range(1, 8):
+        for start in (1, 7, 12345, 2**62 + 3):
+            for count in (1, 29):
+                want = uniform01(11, start, count * k)[::k]
+                np.testing.assert_array_equal(uniform01(11, start, count, stride=k), want)
+    assert uniform01(11, 5, 0, stride=3).size == 0
+
+
+def test_uniform01_rejects_stride_below_one():
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="stride"):
+            uniform01(11, 0, 4, stride=k)
