@@ -115,7 +115,8 @@ def _chunk_moments(pts: np.ndarray, kind: str, p: float, seed: int, start: int, 
     position s*w + j, written into row j of a (w, m) array whose transpose is
     the Fortran-ordered (m, w) block. Each sample keeps its draws, and the
     volume product over a row is the same left-to-right product in either
-    layout.
+    layout. Drawing by column keeps the generator's temporaries at m words
+    and needs no row-major copy of the block.
     """
     d = pts.shape[1]
     width = d if kind == "star" else 2 * d

@@ -126,12 +126,18 @@ def test_box_counts_equal_row_major_reference(n, d, family):
         assert _count_in_boxes(x, *f).tolist() == want
 
 
-def test_box_counts_equal_reference_with_wide_and_narrow_rows(monkeypatch):
-    # 300 points are five words a row: with the column limit at 4 the
-    # popcounts go through the row-wise sum, at 5 through the column loop
-    x = _points("dyadic", 300, 3, 2)
-    a, b = _corner_pairs(x, 700, 2)
-    want = ref._count_in_boxes(x, a, b).tolist()
-    for limit in (4, 5):
-        monkeypatch.setattr(pointsets, "_COLUMN_SUM_WORDS", limit)
-        assert _count_in_boxes(x, a, b).tolist() == want
+def test_full_group_count_fits_the_popcount_sum():
+    # the einsum that adds a box's popcounts accumulates in uint16
+    assert pointsets._POINT_GROUP < 1 << 16
+    x = _points("uniform", 4097, 2, 5)
+    hi = np.ones((3, 2))
+    assert _count_in_boxes(x, None, hi).tolist() == [4097] * 3
+    assert _count_in_boxes(x, np.zeros((3, 2)), hi).tolist() == [4097] * 3
+
+
+def test_box_counts_equal_reference_with_wide_and_narrow_rows():
+    # bitset rows of 1, 5 and 64 words, the full width of one point group
+    for n in (60, 300, 4096):
+        x = _points("dyadic", n, 3, 2)
+        a, b = _corner_pairs(x, 700, 2)
+        assert _count_in_boxes(x, a, b).tolist() == ref._count_in_boxes(x, a, b).tolist()
