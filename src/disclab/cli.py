@@ -36,7 +36,6 @@ from .pointsets import Estimate, PointSet, read_points, write_points
 from .rng import DEFAULT_SEED
 from .sequences import MAX_INDEX, Halton, VanDerCorput, lift, prefix
 
-USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 VERDICT_FAILED = 3
 

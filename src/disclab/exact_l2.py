@@ -28,10 +28,11 @@ significant digits up to n = 2^16 even though the raw terms cancel by eight
 orders of magnitude. The three L2 forms share one driver, `_l2`, which
 differs per kind only in the kernel's per-coordinate factor, the per-point
 factor (none for periodic) and the constant's sign and base: +n^2/3^d,
-+n^2/12^d and -n^2/3^d. Both diaphonies share one root, `_diaphony`, which
-expands its kernel incrementally. Every pair sum goes through one blocked
-pair sum, `_pair_sum`. It walks the upper triangle of 1024 x 1024 blocks and
-doubles the off-diagonal blocks; doubling is exact in binary.
++n^2/12^d and -n^2/3^d. Both diaphonies share one root, `_diaphony`. One
+block builder, `_product_kernel`, folds the coordinates of every kernel: the
+L2 kernels multiply, the diaphony expands incrementally as K + a + K a.
+Every pair sum goes through one blocked pair sum, `_pair_sum`. It walks the
+upper triangle of 1024 x 1024 blocks and doubles off-diagonal ones exactly.
 
 A block is never built whole: `summation.strip_sum` builds it in row strips
 of at most 2^15 entries (32 rows at full width), and each strip runs the
@@ -109,14 +110,14 @@ def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[flo
     return float(value[-1]), float(comp[-1])
 
 
-def _product_kernel(factor):
-    """Block kernel prod_j factor(xi_j, xj_j); factor returns the outer
-    matrix of one coordinate."""
+def _product_kernel(factor, combine=lambda K, f: np.multiply(K, f, out=K)):
+    """Block kernel folding the outer matrices f = factor(xi_j, xj_j) left to
+    right as K = combine(K, f); by default K *= f, giving prod_j f."""
 
     def block(xi, xj):
         K = factor(xi[:, 0], xj[:, 0])
         for j in range(1, xi.shape[1]):
-            K *= factor(xi[:, j], xj[:, j])
+            K = combine(K, factor(xi[:, j], xj[:, j]))
         return K
 
     return block
@@ -126,15 +127,15 @@ def _l2(points: PointSet, factor, point_factor, sign: int, base: int) -> float:
     """sqrt of sum_{k,l} (prod_j factor(x_kj, x_lj) - g_k - g_l) plus the
     constant sign n^2 / base^d, where g_k = prod_j point_factor(x_kj) (no g
     where point_factor is None) and the constant enters as two doubles. Once
-    base^-d is below the smallest normal double, the pair-sum products have
-    underflowed too, and a GuardError is raised."""
+    base^-d is below the smallest normal double, the pair-sum products
+    underflow too, so a GuardError is raised before the pair sum runs."""
     points.require_nonempty()
     x = points.coords
     n, d = x.shape
-    g = None if point_factor is None else np.prod(point_factor(x), axis=1)
-    acc = _pair_sum(x, _product_kernel(factor), g)
     if float(base) ** -d < sys.float_info.min:
         raise GuardError(f"closed form underflows at d={d}: {base}^-d is not a normal double")
+    g = None if point_factor is None else np.prod(point_factor(x), axis=1)
+    acc = _pair_sum(x, _product_kernel(factor), g)
     chi, clo = exact_ratio_parts(sign * n * n, base**d)
     return math.sqrt(max(math.fsum((*acc, chi, clo)), 0.0))
 
@@ -157,15 +158,7 @@ def _diaphony(points: PointSet, term) -> float:
         raise GuardError(
             f"diaphony overflows a double at d={d}, n={n}: its diagonal terms are (1 + pi^2/3)^d"
         )
-
-    def block(xi, xj):
-        K = term(xi[:, 0], xj[:, 0])
-        for j in range(1, xi.shape[1]):
-            a = term(xi[:, j], xj[:, j])
-            K = K + a + K * a
-        return K
-
-    hi, lo = _pair_sum(x, block)
+    hi, lo = _pair_sum(x, _product_kernel(term, lambda K, a: K + a + K * a))
     return math.sqrt(max((hi + lo) / (n * n), 0.0))
 
 

@@ -93,10 +93,11 @@ def _leq(claim: str, lhs: float, rhs: float, meta: dict) -> CaseCheck:
     return CaseCheck(claim, lhs, rhs, rhs - lhs, lhs <= rhs + tol, meta)
 
 
-def _geq(claim: str, lhs: float, rhs: float, meta: dict) -> CaseCheck:
-    """lhs >= rhs up to relative tolerance; margin is lhs - rhs."""
+def _geq(claim: str, lhs: float, rhs: float, meta: dict, slack: float = 0.0) -> CaseCheck:
+    """lhs >= rhs - slack (a Monte Carlo 3 sigma, else 0) up to the relative
+    tolerance of `_leq`; margin is lhs - rhs."""
     tol = REL_TOL * max(1.0, abs(rhs))
-    return CaseCheck(claim, lhs, rhs, lhs - rhs, lhs >= rhs - tol, meta)
+    return CaseCheck(claim, lhs, rhs, lhs - rhs, lhs >= rhs - slack - tol, meta)
 
 
 def inequality_suite(
@@ -175,8 +176,8 @@ def prefix_transference_verify(
             >= 2^(1/p - 1) * extreme_{p,N}(lifted) - 2^(-d/p).
 
     For p = 2 both sides are exact closed forms. Other p require a Monte
-    Carlo configuration; the check then allows a 3 sigma margin on top of the
-    tolerance. The report carries the realized slack per N.
+    Carlo configuration; `_geq` then allows a 3 sigma slack on top of its
+    relative tolerance. The report carries the realized margin per N.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -205,26 +206,14 @@ def prefix_transference_verify(
         est = mc_lp(lift(full, n_max), mc, "extreme", p)
         rhs = 2.0 ** (1.0 / p - 1.0) * est.value - 2.0 ** (-d / p)
         sigma = 3.0 * math.hypot(best_se, (est.stderr or 0.0) * 2.0 ** (1.0 / p - 1.0))
-        cases.append(
-            CaseCheck(
-                "prefix_max_extreme>=transferred_bound(mc)",
-                best,
-                rhs,
-                best - rhs,
-                best >= rhs - sigma - REL_TOL,
-                {"n": n_max, "d": d, "p": p, "seq": gen.name, "three_sigma": sigma},
-            )
-        )
+        cases.append(_geq("prefix_max_extreme>=transferred_bound(mc)", best, rhs,
+                          {"n": n_max, "d": d, "p": p, "seq": gen.name, "three_sigma": sigma},
+                          slack=sigma))
     return VerdictReport(
         suite="lemma1",
         cases=cases,
         meta={"seq": gen.name, "n_max": n_max, "p": p, "d": d},
     )
-
-
-def _rate(n: int, d: int, per_n: bool) -> float:
-    r = math.log(n) ** (d / 2.0)
-    return r / n if per_n else r
 
 
 def _scan_values(
@@ -283,11 +272,10 @@ def growth_scan(
         raise ValueError("scan requires at least one n, and n >= 2 so that log n > 0")
     if math.isinf(p):
         raise DisclabError("scan requires finite p; use compute for p=inf")
-    per_n = kind == "diaphony"
     values = _scan_values(prefix(gen, ns[-1]), kind, p, ns, mc)
     rows = []
     for n in ns:
-        rate = _rate(n, gen.d, per_n)
+        rate = math.log(n) ** (gen.d / 2.0) / (n if kind == "diaphony" else 1)
         value = values[n][0]
         rows.append(ScanRow(n, value, rate, value / rate))
     ratios = [r.ratio for r in rows]

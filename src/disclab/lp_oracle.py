@@ -28,7 +28,7 @@ from .pointsets import (
     _count_in_boxes,
     _ordered_map,
 )
-from .rng import PRNG_NAME, uniform01
+from .rng import uniform01
 
 __all__ = [
     "McConfig",
@@ -177,7 +177,6 @@ def mc_lp(points: PointSet, mc: McConfig, kind: str, p: float) -> Estimate:
         stderr=stderr,
         samples=mc.samples,
         seed=mc.seed,
-        rng=PRNG_NAME,
     )
 
 
@@ -415,10 +414,12 @@ def estimate(points: PointSet, kind: str, p: float, mc: McConfig | None = None) 
       without `mc`, MonteCarloRequired.
 
     The Estimate carries kind and p as given. An unknown kind is a
-    DisclabError that names the valid ones.
+    DisclabError that names the valid ones; a p < 1 or nan is one too.
     """
     if kind not in KINDS:
         raise DisclabError(f"unknown kind {kind!r}; valid kinds are {', '.join(KINDS)}")
+    if not p >= 1.0:
+        raise DisclabError("p must satisfy p >= 1")
     n, d = points.n, points.d
     if math.isinf(p):
         if kind not in ("star", "extreme"):

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -141,8 +142,8 @@ METHOD_GRID_ENUM = "grid-enum"
 class Estimate:
     """A computed discrepancy value plus provenance.
 
-    `stderr`, `samples`, `seed` and `rng` are populated exactly when the
-    method is Monte Carlo.
+    `stderr`, `samples` and `seed` are populated exactly when the method is
+    Monte Carlo.
     """
 
     kind: str
@@ -154,7 +155,6 @@ class Estimate:
     stderr: float | None = None
     samples: int | None = None
     seed: int | None = None
-    rng: str | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.value < 0.0:
@@ -321,15 +321,10 @@ def local_discrepancy(points: PointSet, box: PeriodicBox) -> float:
 def read_points(source: str | IO[str]) -> PointSet:
     """Parse the CSV point format. Rejects out-of-range coordinates with the
     offending row number in the message."""
-    close = False
-    if isinstance(source, str):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh = source
     declared_d: int | None = None
     rows: list[list[float]] = []
-    try:
+    with (open(source, "r", encoding="utf-8") if isinstance(source, str)
+          else nullcontext(source)) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -352,9 +347,6 @@ def read_points(source: str | IO[str]) -> PointSet:
                     f"row {lineno}: expected {len(rows[0])} columns, got {len(vals)}"
                 )
             rows.append(vals)
-    finally:
-        if close:
-            fh.close()
     if declared_d is not None and rows and len(rows[0]) != declared_d:
         raise CoordinateError(
             f"header declares d={declared_d} but rows have {len(rows[0])} columns"

@@ -10,6 +10,7 @@ a (d+1)-dimensional point set whose last coordinates are exactly
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,12 +64,9 @@ class Halton:
         for b in bases:
             if b < 2:
                 raise ValueError(f"bases must be >= 2, got {b}")
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                if math.gcd(bases[i], bases[j]) != 1:
-                    raise ValueError(
-                        f"bases must be pairwise coprime; gcd({bases[i]}, {bases[j]}) > 1"
-                    )
+        for a, b in itertools.combinations(bases, 2):
+            if math.gcd(a, b) != 1:
+                raise ValueError(f"bases must be pairwise coprime; gcd({a}, {b}) > 1")
         object.__setattr__(self, "bases", bases)
 
     @property

@@ -237,6 +237,17 @@ def test_closed_forms_refuse_underflowing_dimensions():
         assert fn(random_point_set(5, 644, 1)) > 0.0
 
 
+def test_closed_forms_refuse_underflow_before_the_pair_sum(monkeypatch):
+    # the refusal needs only d; it used to come after the O(n^2 d) pair sum
+    def no_pair_sum(*args, **kwargs):
+        raise AssertionError("the pair sum ran")
+
+    monkeypatch.setattr(exact_l2, "_pair_sum", no_pair_sum)
+    for fn, d in ((star_l2, 700), (extreme_l2, 300), (periodic_l2, 700)):
+        with pytest.raises(GuardError, match=f"d={d}"):
+            fn(random_point_set(4, d, 1))
+
+
 def test_diaphony_refuses_overflowing_dimensions():
     # the diagonal pair terms are (1 + pi^2/3)^d, above the largest double
     # from d = 488; d = 700 used to escape as an overflow RuntimeWarning

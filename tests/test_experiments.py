@@ -22,7 +22,13 @@ from disclab import (
     vdc_star_constant,
 )
 from disclab.errors import GuardError
-from disclab.experiments import VDC_STAR_TARGET, _growth_checks, _vdc_constant_checks
+from disclab.experiments import (
+    REL_TOL,
+    VDC_STAR_TARGET,
+    _geq,
+    _growth_checks,
+    _vdc_constant_checks,
+)
 
 
 def test_inequality_suite_small_run_passes():
@@ -101,6 +107,19 @@ def test_prefix_transference_mc_matches_per_prefix_loop(gen):
     rhs = 2.0 ** (1.0 / p - 1.0) * est.value - 2.0 ** (-gen.d / p)
     sigma = 3.0 * math.hypot(best_se, (est.stderr or 0.0) * 2.0 ** (1.0 / p - 1.0))
     assert (case.lhs, case.rhs, case.meta["three_sigma"]) == (best, rhs, sigma)
+
+
+@pytest.mark.parametrize("rhs", [0.5, -0.5, 1e3, -1e3])
+@pytest.mark.parametrize("slack", [0.0, 0.25])
+def test_geq_slack_shares_the_relative_tolerance(rhs, slack):
+    # the Monte Carlo lemma1 case passes its 3 sigma as slack; the rounding
+    # tolerance on top is relative to |rhs| above 1, as for the exact cases
+    tol = REL_TOL * max(1.0, abs(rhs))
+    edge = rhs - slack - tol
+    assert _geq("c", edge, rhs, {}, slack=slack).passed
+    assert not _geq("c", edge - 2.0 * tol, rhs, {}, slack=slack).passed
+    check = _geq("c", edge, rhs, {"k": 1}, slack=slack)
+    assert (check.lhs, check.rhs, check.margin, check.meta) == (edge, rhs, edge - rhs, {"k": 1})
 
 
 def test_fit_log_exponent_recovers_planted_exponents():

@@ -625,6 +625,17 @@ def test_estimate_picks_one_evaluator_per_regime(p, d, kind, method, direct):
             estimate(pts, kind, p)
 
 
+@pytest.mark.parametrize("mc", [None, McConfig(200, 3)])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", lp_oracle.KINDS)
+@pytest.mark.parametrize("p", [0.5, -1.0, math.nan])
+def test_estimate_rejects_p_below_one_before_dispatch(p, kind, d, mc):
+    # these used to say "use the oracle subcommand" (MonteCarloRequired), or
+    # raise mc_lp's or exact_lp_1d's ValueError, depending on d, kind and mc
+    with pytest.raises(DisclabError, match=r"^p must satisfy p >= 1$"):
+        estimate(REGIME_SETS[d], kind, p, mc)
+
+
 @pytest.mark.parametrize("p", [2.0, 1.5, math.inf])
 def test_estimate_names_the_valid_kinds_for_an_unknown_kind(p):
     # checked before dispatch: at p = 2 the kind used to be a bare KeyError,

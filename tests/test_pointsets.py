@@ -284,6 +284,31 @@ def test_csv_header_mismatch():
         read_points(io.StringIO("# d=3 n=1\n0.5,0.5\n"))
 
 
+@pytest.mark.parametrize("body, error", [("0.5\n0.25\n", None), ("0.5\n1.5\n", CoordinateError)])
+def test_read_points_closes_a_file_it_opened(tmp_path, monkeypatch, body, error):
+    path = tmp_path / "points.csv"
+    path.write_text(body, encoding="utf-8")
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(pointsets, "open", recording_open, raising=False)
+    if error is None:
+        assert read_points(str(path)).n == 2
+    else:
+        with pytest.raises(error, match="row 2"):
+            read_points(str(path))
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_read_points_leaves_a_caller_stream_open():
+    buf = io.StringIO("0.5\n")
+    assert read_points(buf).n == 1
+    assert not buf.closed
+
+
 def test_csv_empty_with_header():
     p = read_points(io.StringIO("# d=4 n=0\n"))
     assert p.n == 0 and p.d == 4
