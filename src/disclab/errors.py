@@ -1,5 +1,14 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "DisclabError",
+    "DimensionMismatchError",
+    "EmptyPointSetError",
+    "CoordinateError",
+    "GuardError",
+    "MonteCarloRequired",
+]
+
 
 class DisclabError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -415,6 +415,8 @@ def vdc_exponent_report(max_n: int = 1 << 16) -> dict:
     the envelope (best value seen so far) is the finite-scale object with the
     advertised order, while per-n values oscillate wildly below it.
     """
+    if max_n < 256:  # the fit needs three checkpoints: 64, 128 and 256
+        raise ValueError("max_n must be >= 256")
     kinds = ("star", "extreme", "diaphony")
     vals = prefix_discrepancies(prefix(VanDerCorput(2), max_n), kinds=kinds)
     ns = np.arange(1, max_n + 1, dtype=np.float64)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,9 +162,11 @@ def mc_lp(points: PointSet, mc: McConfig, kind: str, p: float) -> Estimate:
         mean_sq = math.fsum(r[1] for r in results) / mc.samples
     except ArithmeticError:  # |D|^p, its square or a sum left the double range
         raise GuardError(f"Monte Carlo {kind} L_{p:g} overflows a double at n={n}") from None
+    if mean < sys.float_info.min:  # a zero or subnormal mean: the p-th powers underflowed
+        raise GuardError(f"Monte Carlo {kind} L_{p:g} underflows a double at n={n}")
     value = mean ** (1.0 / p)
     stderr = 0.0
-    if mc.samples >= _MIN_SAMPLES_FOR_STDERR and mean > 0.0:
+    if mc.samples >= _MIN_SAMPLES_FOR_STDERR:
         var = max(mean_sq - mean * mean, 0.0) * mc.samples / (mc.samples - 1)
         se_mean = math.sqrt(var / mc.samples)
         stderr = se_mean * value / (p * mean)
@@ -247,6 +250,9 @@ def exact_lp_1d(points: PointSet, kind: str, p: float) -> float:
         total = _lp_1d_power_sum(points.coords[:, 0], kind, p)
     except ArithmeticError:  # n**p, a numpy power or fsum left the double range
         raise GuardError(f"exact {kind} L_{p:g} overflows a double at n={points.n}") from None
+    # the integral is positive (D has slope -n on every cell), so only underflow makes it 0
+    if total < sys.float_info.min:
+        raise GuardError(f"exact {kind} L_{p:g} underflows a double at n={points.n}")
     return total ** (1.0 / p)
 
 

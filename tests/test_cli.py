@@ -304,12 +304,26 @@ def test_compute_overflow_and_underflow_are_domain_errors(tmp_path):
     wide = tmp_path / "wide.csv"
     with open(wide, "w", encoding="utf-8") as fh:
         write_points(random_point_set(5, 400, 1), fh)
-    for argv in (("--kind", "extreme", "--p", "300", "--in", str(vdc)),
-                 ("--kind", "extreme", "--p", "2", "--in", str(wide))):
-        r = run_cli("compute", *argv)
+    centred = tmp_path / "centred.csv"
+    centred.write_text("".join(f"{(2 * k + 1) / 16}\n" for k in range(8)))
+    pair = tmp_path / "pair.csv"
+    pair.write_text("0.5,0.25\n")
+    for argv, reason in (
+        (("compute", "--kind", "extreme", "--p", "300", "--in", str(vdc)), "overflows"),
+        (("compute", "--kind", "extreme", "--p", "2", "--in", str(wide)), "underflows"),
+        (("compute", "--kind", "star", "--p", "2000", "--in", str(centred)), "underflows"),
+        (("oracle", "--kind", "periodic", "--p", "1e308", "--samples", "100",
+          "--in", str(pair)), "underflows"),
+    ):
+        r = run_cli(*argv)
         assert r.returncode == 1, r.stderr
         assert r.stderr.startswith("disclab: error:") and "Traceback" not in r.stderr
+        assert reason in r.stderr
         assert r.stdout == ""
+    # p = 1000 still has a normal p-th-power sum
+    r = run_cli("compute", "--kind", "star", "--p", "1000", "--in", str(centred))
+    assert r.returncode == 0 and json.loads(r.stdout)["method"] == "exact-piecewise"
+    assert '"value": 0.49655752790080432,' in r.stdout
 
 
 def test_request_too_large_to_allocate_is_domain_error(capsys):

@@ -203,6 +203,13 @@ def test_vdc_exponent_report_shape():
         assert 0.0 < fit["alpha"] < 1.2
 
 
+def test_vdc_exponent_report_needs_three_checkpoints():
+    # the checkpoints start at 64, and the fit needs 64, 128 and 256
+    with pytest.raises(ValueError, match="max_n must be >= 256"):
+        vdc_exponent_report(max_n=255)
+    assert vdc_exponent_report(max_n=256)["checkpoints"] == [64, 128, 256]
+
+
 def test_vdc_constant_checks_at_their_edges():
     rep = vdc_star_constant(64)
     t = rep.target

@@ -168,6 +168,14 @@ def test_mc_overflow_is_guard_error():
         mc_lp(random_point_set(50, 2, 3), McConfig(70_000, 1, threads=2), "extreme", 400.0)
     est = mc_lp(p, McConfig(100, 1), "star", 150.0)
     assert math.isfinite(est.value) and math.isfinite(est.stderr)
+    # |D|^p below the smallest double: the mean would be a silent 0.0
+    with pytest.raises(GuardError, match="underflows a double"):
+        mc_lp(PointSet([[0.5, 0.5]]), McConfig(10000, 1), "star", 1e4)
+    with pytest.raises(GuardError, match="underflows a double"):
+        mc_lp(PointSet([[0.5, 0.25]]), McConfig(100, 1), "periodic", 1e308)
+    centred = PointSet([[(2 * k + 1) / 16] for k in range(8)])
+    with pytest.raises(GuardError, match="underflows a double"):
+        exact_lp_1d(centred, "star", 2000.0)
 
 
 def test_mc_stderr_halves_when_samples_double():
