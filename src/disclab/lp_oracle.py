@@ -357,8 +357,9 @@ def linf_extreme_1d(points: PointSet) -> float:
 
 def linf_exact_small(points: PointSet, kind: str) -> float:
     """Exact supremum discrepancy: in d = 1 the O(n) scan `linf_star_1d` or
-    `linf_extreme_1d` at any n, in d = 2 an enumeration of critical corners
-    for n <= 64, GuardError elsewhere.
+    `linf_extreme_1d` at any n, in d = 2 the critical corners for n <= 64
+    (star an O(n^2) grid, extreme an O(n^3) sweep, see `_linf_small_2d`),
+    GuardError elsewhere.
 
     Candidate thresholds per axis are the point coordinates plus 0 and 1.
     The positive part of the supremum closes the box around its points
@@ -378,6 +379,24 @@ def linf_exact_small(points: PointSet, kind: str) -> float:
 
 
 def _linf_small_2d(pts: np.ndarray, kind: str) -> float:
+    """The d = 2 supremum over the candidate corners c1 x c2: star on the
+    O(n^2) grid of anchored boxes; extreme in O(n^3), and bit for bit the
+    maximum over every box of `closed - W * width2` and `W * width2 - opened`,
+    W = n * (c1[b] - c1[a]), as an enumeration of the boxes gives it.
+
+    `_sweep` gives each first-axis pair a <= b an approximate maximum within
+    delta = 64 eps (n + 1) of its boxes' doubles. Every rounded quantity is
+    at most 2n in magnitude (integer counts in [-n, n], W <= n, c2 in
+    [0, 1]), so one rounding moves it by at most eps n. A box's double is
+    rounded three times (width2's error is scaled by W <= n); its sweep
+    value five times: the products W c2[u] and W c2[v], the two brackets and
+    their difference, since the running minimum is exact and rounding is
+    monotone. That is 8 eps n apart at most, so a pair whose approximate
+    maximum is more than 2 delta below the largest one holds no box above
+    the pair that holds the largest, with slack for the rounded threshold.
+    The kept pairs are evaluated box by box, at most k1 pairs at a time
+    (the enumeration's per-a array size).
+    """
     n = pts.shape[0]
     c1 = np.unique(np.concatenate(([0.0], pts[:, 0], [1.0])))
     c2 = np.unique(np.concatenate(([0.0], pts[:, 1], [1.0])))
@@ -393,20 +412,77 @@ def _linf_small_2d(pts: np.ndarray, kind: str) -> float:
         strict = cum[:-1, :-1]
         vol = n * np.outer(c1, c2)
         return max(float(np.max(closed - vol)), float(np.max(vol - strict)), 0.0)
-    iu2, iv2 = np.triu_indices(k2)
-    width2 = c2[iv2] - c2[iu2]
-    # counts over every second-axis interval, per first-axis threshold row
-    closed_rows = cum[:, iv2 + 1] - cum[:, iu2]
-    opened_rows = cum[:, iv2] - cum[:, iu2 + 1]
+    ia, ib = np.triu_indices(k1)
+    width1 = n * (c1[ib] - c1[ia])
+    approx = _sweep(cum, c2, ia, ib, width1)
+    delta = 64 * np.finfo(np.float64).eps * (n + 1)
+    keep = np.flatnonzero(approx >= approx.max() - 2 * delta)
+    ka, kb, m = ia[keep], ib[keep], keep.size
+    iu, iv = np.triu_indices(k2)
+    width2 = c2[iv] - c2[iu]
+    # counts over every second-axis interval on the first-axis rows the kept
+    # pairs use, in C order so that a row gather copies whole rows; at[:m]
+    # picks each pair's upper row, at[m:] its lower one
+    rows, at_c = np.unique(np.concatenate((kb + 1, ka)), return_inverse=True)
+    closed_rows = np.subtract(cum[rows][:, iv + 1], cum[rows][:, iu], order="C")
+    rows, at_o = np.unique(np.concatenate((kb, ka + 1)), return_inverse=True)
+    opened_rows = np.subtract(cum[rows][:, iv], cum[rows][:, iu + 1], order="C")
+    vol = np.empty((min(m, k1), width2.size))
+    count, sub = np.empty_like(vol), np.empty_like(vol)
     best = 0.0
-    for a in range(k1):
-        # every b >= a at once; (n * width1) * width2 in the per-box order,
-        # so each candidate, and the max, is the same double
-        closed = closed_rows[a + 1 :] - closed_rows[a]
-        opened = opened_rows[a:k1] - opened_rows[a + 1]
-        vol = (n * (c1[a:] - c1[a]))[:, None] * width2
-        best = max(best, float(np.max(closed - vol)), float(np.max(vol - opened)))
+    for s in range(0, m, k1):
+        e = min(s + k1, m)
+        v, c, t = vol[: e - s], count[: e - s], sub[: e - s]
+        # (n * width1) * width2 against exact integer counts: each box is
+        # the enumeration's double. The indices are in range; mode "clip"
+        # writes to `out` directly, where "raise" would buffer.
+        np.multiply(width1[keep[s:e], None], width2, out=v)
+        np.take(closed_rows, at_c[s:e], axis=0, out=c, mode="clip")
+        c -= np.take(closed_rows, at_c[m + s : m + e], axis=0, out=t, mode="clip")
+        c -= v
+        best = max(best, float(np.max(c)))
+        np.take(opened_rows, at_o[s:e], axis=0, out=c, mode="clip")
+        c -= np.take(opened_rows, at_o[m + s : m + e], axis=0, out=t, mode="clip")
+        v -= c
+        best = max(best, float(np.max(v)))
     return best
+
+
+def _sweep(cum: np.ndarray, c2: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+           width1: np.ndarray) -> np.ndarray:
+    """Approximate maximum box value per first-axis pair (ia, ib), W = width1:
+    closed boxes give [G(v+1) - W c2[v]] - [G(u) - W c2[u]] over u <= v,
+    G(j) = cum[b+1, j] - cum[a, j], and open boxes
+    [W c2[v] - H(v)] - [W c2[u] - H(u+1)], H(j) = cum[b, j] - cum[a+1, j].
+    A running minimum of the second bracket (Bentley's maximum-sum scan,
+    Commun. ACM 27 (1984)) takes the maximum over u in one pass over v.
+    The arrays are (k2, pairs); the closed part is done before the open one
+    is built, so at most three are held at once.
+    """
+    cum_t = np.ascontiguousarray(cum.T)
+    wc = c2[:, None] * width1
+    g = cum_t[:, ib + 1]
+    g -= cum_t[:, ia]
+    top = g[1:] - wc
+    low = g[:-1]
+    low -= wc
+    closed = _max_rise(top, low)
+    del g, low, top
+    h = cum_t[:, ib]
+    h -= cum_t[:, ia + 1]
+    top = wc - h[:-1]
+    wc -= h[1:]
+    return np.maximum(closed, _max_rise(top, wc))
+
+
+def _max_rise(top: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """max over u <= v of top[v] - low[u], per column; overwrites both. The
+    running minimum is one in-place `np.minimum` per row, several times
+    faster than `np.minimum.accumulate` on these shapes."""
+    for j in range(1, low.shape[0]):
+        np.minimum(low[j], low[j - 1], out=low[j])
+    top -= low
+    return top.max(axis=0)
 
 
 def estimate(points: PointSet, kind: str, p: float, mc: McConfig | None = None) -> Estimate:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linf_reference
 from disclab import (
     DisclabError,
     GuardError,
@@ -553,7 +554,8 @@ def test_linf_small_sandwich_d2():
 
 def test_linf_small_d2_extreme_matches_box_by_box_enumeration():
     # one first-axis interval [c1[a], c1[b]] at a time, as in the definition of
-    # the candidate set; the batched evaluation must give the same double
+    # the candidate set; the reference enumerator and the sweep must both
+    # give the same double
     def box_by_box(pts):
         n = pts.shape[0]
         c1 = np.unique(np.concatenate(([0.0], pts[:, 0], [1.0])))
@@ -574,6 +576,75 @@ def test_linf_small_d2_extreme_matches_box_by_box_enumeration():
     grid = np.random.default_rng(3).integers(0, 8, size=(20, 2)) / 8  # ties, zeros
     for p in (random_point_set(1, 2, 1), random_point_set(17, 2, 2), pset(grid)):
         assert linf_exact_small(p, "extreme") == box_by_box(p.coords)
+        assert linf_reference.linf_extreme_2d(p.coords) == box_by_box(p.coords)
+
+
+def _d2_family(name):
+    """The point sets of one family for n = 1..64: full-mantissa random sets;
+    k/q grids (duplicate points, ties and zeros); Halton (2, 3) prefixes;
+    rank-1 lattices (k/n, (a k mod n)/n), on which a too small re-evaluation
+    margin shows first."""
+    rng = np.random.default_rng(19)
+    for n in range(1, 65):
+        k = np.arange(n)
+        if name == "random":
+            yield rng.random((n, 2))
+        elif name == "grid":
+            for q in (2, 3, 4, 5, 7, 8, 10, 16, 64):
+                yield rng.integers(0, q, size=(n, 2)) / q
+        elif name == "halton":
+            yield prefix(Halton((2, 3)), n).coords
+        else:
+            for a in (3, 5, 7, 13):
+                yield np.column_stack((k / n, (a * k % n) / n))
+
+
+@pytest.mark.parametrize("family", ["random", "grid", "halton", "lattice"])
+def test_linf_small_d2_extreme_bits_equal_enumerator(family):
+    for coords in _d2_family(family):
+        p = PointSet(coords)
+        assert linf_exact_small(p, "extreme") == linf_reference.linf_extreme_2d(coords), p.n
+
+
+def test_linf_small_d2_extreme_ties_and_blocks_equal_enumerator():
+    # q = 2 grids at n = 64 are mostly duplicate points; a single interior
+    # point keeps 4 of its 6 first-axis pairs for re-evaluation, more than
+    # one block of k1 = 3 pairs holds
+    sets = [np.random.default_rng(seed).integers(0, 2, size=(64, 2)) / 2 for seed in range(8)]
+    sets += [np.array([[x, y]]) for x in (0.25, 0.5, 0.9) for y in (0.1, 0.5)]
+    for coords in sets:
+        assert linf_exact_small(PointSet(coords), "extreme") == linf_reference.linf_extreme_2d(coords)
+
+
+def _tie_every_pair(cum, c2, ia, ib, width1):
+    """A stand-in for `lp_oracle._sweep` under which every first-axis pair
+    is kept, so the re-evaluation covers every box in blocks."""
+    return np.zeros(ia.size)
+
+
+def test_linf_small_d2_extreme_reevaluation_of_every_pair_is_the_enumeration(monkeypatch):
+    monkeypatch.setattr(lp_oracle, "_sweep", _tie_every_pair)
+    for n, seed in ((1, 1), (5, 2), (17, 3), (64, 4)):
+        p = random_point_set(n, 2, seed)
+        assert linf_exact_small(p, "extreme") == linf_reference.linf_extreme_2d(p.coords)
+
+
+@pytest.mark.parametrize("every_pair", [False, True])
+def test_linf_small_d2_extreme_memory_is_bounded(monkeypatch, every_pair):
+    # the enumeration peaked near 7 MiB at n = 64; the sweep holds three
+    # (k2, pairs) arrays at once, the re-evaluation two row tables and three
+    # blocks, also when every pair is kept
+    if every_pair:
+        monkeypatch.setattr(lp_oracle, "_sweep", _tie_every_pair)
+    p = random_point_set(64, 2, 8)
+    linf_exact_small(p, "extreme")
+    tracemalloc.start()
+    try:
+        linf_exact_small(p, "extreme")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_linf_small_guards():
