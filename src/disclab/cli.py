@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--samples", type=int, default=100000)
     o.add_argument("--seed", type=int, default=DEFAULT_SEED)
     o.add_argument("--threads", type=int, default=0,
-                   help="worker cap; 0 honours DISCLAB_THREADS / cpu count")
+                   help="worker cap; 0 takes DISCLAB_THREADS, else 8; at most the cpu count")
     o.add_argument("--in", dest="infile", required=True)
     o.add_argument("--out", default=None)
     o.set_defaults(fn=_cmd_oracle)

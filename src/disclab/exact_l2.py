@@ -55,7 +55,7 @@ import sys
 import numpy as np
 
 from .errors import GuardError
-from .pointsets import PointSet, _ordered_map
+from .pointsets import PointSet, _as_integer, _ordered_map
 from .summation import exact_ratio_parts, running_sum, strip_sum
 
 __all__ = [
@@ -207,6 +207,7 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
     entry's value does not depend on the strip it is built in.
     """
     points.require_nonempty()
+    h_max = _as_integer("frequency cutoff", h_max)
     if h_max < 1:
         raise ValueError(f"frequency cutoff must be >= 1, got {h_max}")
     h = np.arange(h_max, 0, -1, dtype=np.float64)

@@ -10,8 +10,8 @@ included.
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -28,6 +28,7 @@ from .pointsets import (
     PointSet,
     _count_in_boxes,
     _ordered_map,
+    _as_integer,
 )
 from .rng import uniform01
 
@@ -62,13 +63,11 @@ class McConfig:
 
     samples: int
     seed: int
-    threads: int = 0  # 0: take DISCLAB_THREADS, else cpu count; at most cpu count
+    threads: int = 0  # 0: take DISCLAB_THREADS, else 8; at most cpu count
 
     def __post_init__(self) -> None:
         for name in ("samples", "seed", "threads"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _as_integer(name, getattr(self, name))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.threads < 0:
@@ -188,13 +187,21 @@ def mc_lp(points: PointSet, mc: McConfig, kind: str, p: float) -> Estimate:
 # ---------------------------------------------------------------------------
 
 
-def _cells(x: np.ndarray):
-    """Breakpoint edges (0, distinct coords, 1) and the box count on each
-    cell (e_i, e_{i+1}]."""
-    xs = np.sort(x)
-    edges = np.unique(np.concatenate(([0.0], xs, [1.0])))
-    counts = np.searchsorted(xs, edges[:-1], side="right").astype(np.float64)
-    return edges, counts
+def _corner_counts(pts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The corners c_j of each axis (0, the distinct coordinates, 1) and
+    cum[i_1, .., i_d] = #{x_j <= c_j[i_j - 1] on every axis} in exact integer
+    doubles, index 0 counting none; in d = 1 cum[1:-1] counts each cell."""
+    corners, ranks = [], []
+    for x in pts.T:
+        c, r = np.unique(np.concatenate(([0.0], x, [1.0])), return_inverse=True)
+        corners.append(c)
+        ranks.append(r[1:-1] + 1)
+    shape = tuple(c.size + 1 for c in corners)
+    counts = np.bincount(np.ravel_multi_index(ranks, shape), minlength=math.prod(shape))
+    cum = counts.reshape(shape).astype(np.float64)
+    for axis in range(cum.ndim):
+        np.cumsum(cum, axis=axis, out=cum)
+    return corners, cum
 
 
 def _phi1(s: np.ndarray, p: float) -> np.ndarray:
@@ -260,7 +267,8 @@ def exact_lp_1d(points: PointSet, kind: str, p: float) -> float:
 def _lp_1d_power_sum(x: np.ndarray, kind: str, p: float) -> float:
     """The integral of |D|^p behind `exact_lp_1d`, before the 1/p root."""
     n = x.size
-    edges, a = _cells(x)
+    (edges,), cum = _corner_counts(x[:, None])
+    a = cum[1:-1]
     lo, hi = edges[:-1], edges[1:]
     if kind == "star":
         terms = (_phi1(a - n * lo, p) - _phi1(a - n * hi, p)) / n
@@ -324,10 +332,19 @@ def linf_star_1d(points: PointSet) -> float:
     """
     points.require_nonempty()
     points.require_dim(1)
-    x = points.coords[:, 0]
-    n = x.size
-    edges, a = _cells(x)
-    return float(max(np.max(a - n * edges[:-1]), np.max(n * edges[1:] - a)))
+    return _linf_star(points.coords)
+
+
+def _linf_star(pts: np.ndarray) -> float:
+    """The star supremum on the corner grid t, in any d: closed boxes [0, t]
+    and open ones [0, t) give max(cum[1:, ..] - n vol, n vol - cum[:-1, ..],
+    0), vol = prod_j t_j. In d = 1 the closed t = 1 and the open t = 0 give
+    exact zeros, so this is `linf_star_1d`'s cell formula."""
+    n, d = pts.shape
+    corners, cum = _corner_counts(pts)
+    vol = n * functools.reduce(np.multiply.outer, corners)
+    closed, opened = cum[(slice(1, None),) * d], cum[(slice(None, -1),) * d]
+    return max(float(np.max(closed - vol)), float(np.max(vol - opened)), 0.0)
 
 
 def linf_extreme_1d(points: PointSet) -> float:
@@ -341,9 +358,9 @@ def linf_extreme_1d(points: PointSet) -> float:
     """
     points.require_nonempty()
     points.require_dim(1)
-    x = points.coords[:, 0]
-    n = x.size
-    edges, a = _cells(x)
+    n = points.n
+    (edges,), cum = _corner_counts(points.coords)
+    a = cum[1:-1]
     high = a - n * edges[:-1]
     low = a - n * edges[1:]
     best = 0.0
@@ -358,8 +375,8 @@ def linf_extreme_1d(points: PointSet) -> float:
 def linf_exact_small(points: PointSet, kind: str) -> float:
     """Exact supremum discrepancy: in d = 1 the O(n) scan `linf_star_1d` or
     `linf_extreme_1d` at any n, in d = 2 the critical corners for n <= 64
-    (star an O(n^2) grid, extreme an O(n^3) sweep, see `_linf_small_2d`),
-    GuardError elsewhere.
+    (star the O(n^2) grid `_linf_star`, extreme the O(n^3) sweep
+    `_linf_extreme_2d`), GuardError elsewhere.
 
     Candidate thresholds per axis are the point coordinates plus 0 and 1.
     The positive part of the supremum closes the box around its points
@@ -375,14 +392,14 @@ def linf_exact_small(points: PointSet, kind: str) -> float:
         raise GuardError("exact enumeration is limited to d <= 2, and to n <= 64 in d = 2")
     if d == 1:
         return (linf_star_1d if kind == "star" else linf_extreme_1d)(points)
-    return _linf_small_2d(points.coords, kind)
+    return (_linf_star if kind == "star" else _linf_extreme_2d)(points.coords)
 
 
-def _linf_small_2d(pts: np.ndarray, kind: str) -> float:
-    """The d = 2 supremum over the candidate corners c1 x c2: star on the
-    O(n^2) grid of anchored boxes; extreme in O(n^3), and bit for bit the
-    maximum over every box of `closed - W * width2` and `W * width2 - opened`,
-    W = n * (c1[b] - c1[a]), as an enumeration of the boxes gives it.
+def _linf_extreme_2d(pts: np.ndarray) -> float:
+    """The d = 2 extreme supremum over the candidate corners c1 x c2 in
+    O(n^3), and bit for bit the maximum over every box of
+    `closed - W * width2` and `W * width2 - opened`, W = n * (c1[b] - c1[a]),
+    as an enumeration of the boxes gives it.
 
     `_sweep` gives each first-axis pair a <= b an approximate maximum within
     delta = 64 eps (n + 1) of its boxes' doubles. Every rounded quantity is
@@ -395,71 +412,43 @@ def _linf_small_2d(pts: np.ndarray, kind: str) -> float:
     maximum is more than 2 delta below the largest one holds no box above
     the pair that holds the largest, with slack for the rounded threshold.
     The kept pairs are evaluated box by box, at most k1 pairs at a time
-    (the enumeration's per-a array size).
+    (the enumeration's per-a array size), from `_sweep`'s G and H: exact
+    integer counts, so each box is the enumeration's double.
     """
     n = pts.shape[0]
-    c1 = np.unique(np.concatenate(([0.0], pts[:, 0], [1.0])))
-    c2 = np.unique(np.concatenate(([0.0], pts[:, 1], [1.0])))
-    k1, k2 = c1.size, c2.size
-    # C[i, j] = number of points with x1 <= c1[i-1] and x2 <= c2[j-1]
-    hist = np.zeros((k1 + 1, k2 + 1))
-    r1 = np.searchsorted(c1, pts[:, 0])
-    r2 = np.searchsorted(c2, pts[:, 1])
-    np.add.at(hist, (r1 + 1, r2 + 1), 1.0)
-    cum = hist.cumsum(axis=0).cumsum(axis=1)
-    if kind == "star":
-        closed = cum[1:, 1:]
-        strict = cum[:-1, :-1]
-        vol = n * np.outer(c1, c2)
-        return max(float(np.max(closed - vol)), float(np.max(vol - strict)), 0.0)
+    (c1, c2), cum = _corner_counts(pts)
+    cum_t = np.ascontiguousarray(cum.T)
+    k1 = c1.size
     ia, ib = np.triu_indices(k1)
     width1 = n * (c1[ib] - c1[ia])
-    approx = _sweep(cum, c2, ia, ib, width1)
+    approx = _sweep(cum_t, c2, ia, ib, width1)
     delta = 64 * np.finfo(np.float64).eps * (n + 1)
     keep = np.flatnonzero(approx >= approx.max() - 2 * delta)
-    ka, kb, m = ia[keep], ib[keep], keep.size
-    iu, iv = np.triu_indices(k2)
+    iu, iv = np.triu_indices(c2.size)
     width2 = c2[iv] - c2[iu]
-    # counts over every second-axis interval on the first-axis rows the kept
-    # pairs use, in C order so that a row gather copies whole rows; at[:m]
-    # picks each pair's upper row, at[m:] its lower one
-    rows, at_c = np.unique(np.concatenate((kb + 1, ka)), return_inverse=True)
-    closed_rows = np.subtract(cum[rows][:, iv + 1], cum[rows][:, iu], order="C")
-    rows, at_o = np.unique(np.concatenate((kb, ka + 1)), return_inverse=True)
-    opened_rows = np.subtract(cum[rows][:, iv], cum[rows][:, iu + 1], order="C")
-    vol = np.empty((min(m, k1), width2.size))
-    count, sub = np.empty_like(vol), np.empty_like(vol)
     best = 0.0
-    for s in range(0, m, k1):
-        e = min(s + k1, m)
-        v, c, t = vol[: e - s], count[: e - s], sub[: e - s]
-        # (n * width1) * width2 against exact integer counts: each box is
-        # the enumeration's double. The indices are in range; mode "clip"
-        # writes to `out` directly, where "raise" would buffer.
-        np.multiply(width1[keep[s:e], None], width2, out=v)
-        np.take(closed_rows, at_c[s:e], axis=0, out=c, mode="clip")
-        c -= np.take(closed_rows, at_c[m + s : m + e], axis=0, out=t, mode="clip")
-        c -= v
-        best = max(best, float(np.max(c)))
-        np.take(opened_rows, at_o[s:e], axis=0, out=c, mode="clip")
-        c -= np.take(opened_rows, at_o[m + s : m + e], axis=0, out=t, mode="clip")
-        v -= c
-        best = max(best, float(np.max(v)))
+    for s in range(0, keep.size, k1):
+        k = keep[s : s + k1]
+        a, b = ia[k], ib[k]
+        g = cum_t[:, b + 1] - cum_t[:, a]
+        h = cum_t[:, b] - cum_t[:, a + 1]
+        vol = width2[:, None] * width1[k]
+        best = max(best, float(np.max((g[iv + 1] - g[iu]) - vol)),
+                   float(np.max(vol - (h[iv] - h[iu + 1]))))
     return best
 
 
-def _sweep(cum: np.ndarray, c2: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+def _sweep(cum_t: np.ndarray, c2: np.ndarray, ia: np.ndarray, ib: np.ndarray,
            width1: np.ndarray) -> np.ndarray:
-    """Approximate maximum box value per first-axis pair (ia, ib), W = width1:
-    closed boxes give [G(v+1) - W c2[v]] - [G(u) - W c2[u]] over u <= v,
-    G(j) = cum[b+1, j] - cum[a, j], and open boxes
+    """Approximate maximum box value per first-axis pair (ia, ib), W = width1,
+    from cum_t = cum.T: closed boxes give [G(v+1) - W c2[v]] - [G(u) - W c2[u]]
+    over u <= v, G(j) = cum[b+1, j] - cum[a, j], and open boxes
     [W c2[v] - H(v)] - [W c2[u] - H(u+1)], H(j) = cum[b, j] - cum[a+1, j].
     A running minimum of the second bracket (Bentley's maximum-sum scan,
     Commun. ACM 27 (1984)) takes the maximum over u in one pass over v.
     The arrays are (k2, pairs); the closed part is done before the open one
     is built, so at most three are held at once.
     """
-    cum_t = np.ascontiguousarray(cum.T)
     wc = c2[:, None] * width1
     g = cum_t[:, ib + 1]
     g -= cum_t[:, ia]

@@ -15,6 +15,7 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -273,6 +274,13 @@ def _count_in_boxes(x: np.ndarray, lo: np.ndarray | None, hi: np.ndarray) -> np.
             # so its popcount total fits the uint16 einsum accumulates in
             out[r : r + rows] += np.einsum("ij->i", np.bitwise_count(inside), dtype=np.uint16)
     return out
+
+
+def _as_integer(name: str, value) -> int:
+    """int(value), refusing a float that int() would silently truncate."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _thread_count(requested: int = 0) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoordinateError
-from .pointsets import PointSet
+from .pointsets import PointSet, _as_integer
 
 __all__ = ["radical_inverse", "VanDerCorput", "Halton", "prefix", "lift"]
 
@@ -58,7 +58,7 @@ class Halton:
     bases: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bases = tuple(int(b) for b in self.bases)
+        bases = tuple(_as_integer("base", b) for b in self.bases)
         if len(bases) < 1:
             raise ValueError("need at least one base")
         for b in bases:
@@ -102,6 +102,7 @@ class VanDerCorput(Halton):
 
 def prefix(gen: Halton, n: int) -> PointSet:
     """Point set of the first n terms, in generator order."""
+    n = _as_integer("prefix length", n)
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
     k = np.arange(n)

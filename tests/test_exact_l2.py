@@ -220,6 +220,12 @@ def test_truncated_diaphony_brackets_closed_form():
 def test_truncated_diaphony_cutoff_guard():
     with pytest.raises(ValueError):
         diaphony_truncated(pset([[0.1]]), 0)
+    # a cutoff of 2.5 used to sum the frequencies 2.5, 1.5 and 0.5 and report
+    # a negative tail bound
+    p = prefix(VanDerCorput(), 4)
+    with pytest.raises(ValueError, match="^frequency cutoff must be an integer"):
+        diaphony_truncated(p, 2.5)
+    assert diaphony_truncated(p, np.int64(2)) == diaphony_truncated(p, 2)
 
 
 def test_closed_forms_refuse_underflowing_dimensions():

@@ -308,7 +308,7 @@ def row_loop_reference(x, p):
     """The extreme power sum one cell row at a time: for each cell i, the
     pairs (i, j > i) as 1-d arrays, summed by one fsum."""
     n = x.size
-    edges, a = lp_oracle._cells(x)
+    edges, a = linf_reference._cells(x)
     lo, hi = edges[:-1], edges[1:]
     widths = hi - lo
     m = lo.size
@@ -357,10 +357,18 @@ def _bit_test_points(family, seed, n):
         return rng.choice(rng.integers(0, 2**10, rng.integers(1, 12)) / 2**10, n)
     if family == "sevenths":  # k / 7 rounds, with ties
         return rng.integers(0, 8, n) / 7.0
+    if family in ("thirds", "eighths"):  # k / q grids in [0, 1), with ties
+        q = 3 if family == "thirds" else 8
+        return rng.integers(0, q, n) / q
     if family == "random":  # full-mantissa values
         return rng.random(n)
     if family == "tiny":  # values packed near 0
         return rng.random(n) ** 30
+    if family == "zeros":  # half the points at 0, a quarter of them at -0.0
+        x = rng.random(n)
+        x[: n // 2] = 0.0
+        x[: n // 4] = -0.0
+        return x
     base = {"vdc2": 2, "vdc3": 3}[family]
     return prefix(VanDerCorput(base), n).coords[:, 0]
 
@@ -405,6 +413,57 @@ def test_extreme_power_sum_matches_row_loop_reference_bits_across_blocks(family)
     x = _bit_test_points(family, 1, 699)
     for p in (1.5, 7.3):
         assert _outcome(lp_oracle._lp_1d_power_sum, x, "extreme", p) == _outcome(row_loop_reference, x, p)
+
+
+def star_power_sum_reference(x, p):
+    """The star power sum on the cell table from before the corner counts."""
+    n = x.size
+    edges, a = linf_reference._cells(x)
+    lo, hi = edges[:-1], edges[1:]
+    return math.fsum(((_ref_phi1(a - n * lo, p) - _ref_phi1(a - n * hi, p)) / n).tolist())
+
+
+@pytest.mark.parametrize("family", ["random", "dyadic", "thirds", "eighths", "zeros", "tiny",
+                                    "vdc2", "vdc3"])
+def test_1d_evaluators_on_corner_counts_equal_cell_table_bits(family):
+    # .hex() tells -0.0 from 0.0, so the sign of a zero result is pinned too
+    for n in [*range(1, 301), 2**16]:
+        x = _bit_test_points(family, n, n)
+        p = PointSet(x[:, None])
+        assert linf_star_1d(p).hex() == linf_reference.linf_star_1d(p).hex(), n
+        assert linf_extreme_1d(p).hex() == linf_reference.linf_extreme_1d(p).hex(), n
+        assert _outcome(lp_oracle._lp_1d_power_sum, x, "star", 1.5) == _outcome(
+            star_power_sum_reference, x, 1.5), n
+
+
+def _brute_corner_counts(pts):
+    """#{x <= c on every axis} for every corner tuple, index 0 counting none."""
+    corners = [np.unique(np.concatenate(([0.0], x, [1.0]))) for x in pts.T]
+    cum = np.zeros(tuple(c.size + 1 for c in corners))
+    for index in np.ndindex(*cum.shape):
+        if 0 not in index:
+            inside = np.ones(pts.shape[0], dtype=bool)
+            for x, c, i in zip(pts.T, corners, index):
+                inside &= x <= c[i - 1]
+            cum[index] = inside.sum()
+    return corners, cum
+
+
+def test_corner_counts_equal_brute_force_on_tied_sets():
+    rng = np.random.default_rng(23)
+    sets = [np.array([[0.0]]), np.array([[0.5, 0.5]]), np.zeros((5, 2))]
+    for d in (1, 2):
+        for n in (1, 2, 7, 30):
+            sets += [rng.integers(0, q, size=(n, d)) / q for q in (2, 3, 8)]
+            sets.append(rng.random((n, d)))
+    for pts in sets:
+        corners, cum = lp_oracle._corner_counts(pts)
+        want_corners, want = _brute_corner_counts(pts)
+        assert len(corners) == pts.shape[1]
+        for c, w in zip(corners, want_corners):
+            np.testing.assert_array_equal(c, w)
+        assert cum.dtype == np.float64
+        np.testing.assert_array_equal(cum, want)
 
 
 def test_exact_lp_1d_extreme_memory_is_bounded():
@@ -600,6 +659,13 @@ def _d2_family(name):
 
 
 @pytest.mark.parametrize("family", ["random", "grid", "halton", "lattice"])
+def test_linf_small_d2_star_bits_equal_grid_reference(family):
+    for coords in _d2_family(family):
+        p = PointSet(coords)
+        assert linf_exact_small(p, "star").hex() == linf_reference.linf_star_2d(coords).hex(), p.n
+
+
+@pytest.mark.parametrize("family", ["random", "grid", "halton", "lattice"])
 def test_linf_small_d2_extreme_bits_equal_enumerator(family):
     for coords in _d2_family(family):
         p = PointSet(coords)
@@ -616,7 +682,7 @@ def test_linf_small_d2_extreme_ties_and_blocks_equal_enumerator():
         assert linf_exact_small(PointSet(coords), "extreme") == linf_reference.linf_extreme_2d(coords)
 
 
-def _tie_every_pair(cum, c2, ia, ib, width1):
+def _tie_every_pair(cum_t, c2, ia, ib, width1):
     """A stand-in for `lp_oracle._sweep` under which every first-axis pair
     is kept, so the re-evaluation covers every box in blocks."""
     return np.zeros(ia.size)
@@ -632,8 +698,8 @@ def test_linf_small_d2_extreme_reevaluation_of_every_pair_is_the_enumeration(mon
 @pytest.mark.parametrize("every_pair", [False, True])
 def test_linf_small_d2_extreme_memory_is_bounded(monkeypatch, every_pair):
     # the enumeration peaked near 7 MiB at n = 64; the sweep holds three
-    # (k2, pairs) arrays at once, the re-evaluation two row tables and three
-    # blocks, also when every pair is kept
+    # (k2, pairs) arrays at once, the re-evaluation the counts and volumes
+    # of one block of at most k1 pairs, also when every pair is kept
     if every_pair:
         monkeypatch.setattr(lp_oracle, "_sweep", _tie_every_pair)
     p = random_point_set(64, 2, 8)

@@ -103,11 +103,21 @@ def test_vdc_is_the_one_base_halton():
     assert repr(VanDerCorput()) == "VanDerCorput(base=2)"
     with pytest.raises(ValueError):
         VanDerCorput(1)
+    # a float base used to be truncated: 2.9 gave base 2, (2.5, 3) gave (2, 3)
+    with pytest.raises(ValueError, match="^base must be an integer"):
+        VanDerCorput(2.9)
+    with pytest.raises(ValueError, match="^base must be an integer"):
+        Halton((2.5, 3))
+    assert VanDerCorput(np.int64(3)) == g and Halton(np.array([2, 3])).bases == (2, 3)
 
 
 def test_prefix_requires_positive_length():
     with pytest.raises(ValueError):
         prefix(VanDerCorput(2), 0)
+    # np.arange(2.5) used to give 3 points
+    with pytest.raises(ValueError, match="^prefix length must be an integer"):
+        prefix(VanDerCorput(2), 2.5)
+    assert prefix(VanDerCorput(2), np.int64(3)).n == 3
 
 
 def test_lift_examples():
