@@ -35,28 +35,36 @@ Every pair sum goes through one blocked pair sum, `_pair_sum`. It walks the
 upper triangle of 1024 x 1024 blocks and doubles off-diagonal ones exactly.
 
 A block is never built whole: `summation.strip_sum` builds it in row strips
-of at most 2^15 entries (32 rows at full width), and each strip runs the
-first levels of the block's TwoSum tree while it is in cache, writing their
-rounding errors straight into per-level buffers at the offsets `comp_sum`
-gives them; the strips' partial sums then finish the tree. Every kernel
-gives each entry a value that depends on its two points alone, so each
-block's (value, compensation) is bit for bit comp_sum of the whole block.
-Block pairs run on the worker pool (DISCLAB_THREADS, else 8; never more
-than the CPU count), and their (value, compensation) pairs are added in
-block order by `summation.running_sum`, so results do not depend on the
-thread count.
+of 2^16 entries at full width (64 rows; 2^15 entries below 1024 columns),
+and each strip runs the first levels of the block's TwoSum tree while it is
+in cache, writing their rounding errors straight into per-level buffers at
+the offsets `comp_sum` gives them; the strips' partial sums then finish the
+tree. Every kernel gives each entry a value that depends on its two points
+alone, so each block's (value, compensation) is bit for bit comp_sum of the
+whole block.
+
+Every kernel factor, the product, the diaphony's K + a + K a and the g
+subtraction write into strip buffers with `out=`, operands in the plain
+expression's order, so each entry is the same double. Each worker in flight
+reuses one `summation.strip_scratch` set for the whole pair sum, so a strip
+costs a few dozen numpy calls and no allocation: few calls hold the
+interpreter lock, and two workers overlap. Block pairs run on the worker
+pool (DISCLAB_THREADS, else 8; never more than the CPU count), and their
+(value, compensation) pairs are added in block order by
+`summation.running_sum`, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import queue
 import sys
 
 import numpy as np
 
 from .errors import GuardError
 from .pointsets import PointSet, _as_integer, _ordered_map
-from .summation import exact_ratio_parts, running_sum, strip_sum
+from .summation import exact_ratio_parts, running_sum, strip_scratch, strip_sum
 
 __all__ = [
     "star_l2",
@@ -72,37 +80,51 @@ _TWO_PI_SQ = 2.0 * math.pi**2
 _SIGMA = 1.0 + math.pi**2 / 3.0  # 1 + 2 pi^2 B2(0): the diaphony kernel's largest factor
 
 
-def _bernoulli2(t: np.ndarray) -> np.ndarray:
-    """B2 on the fractional part; continuity of B2 at 0/1 makes the rounding
-    of t - floor(t) at the seam harmless."""
-    f = t - np.floor(t)
-    return f * f - f + (1.0 / 6.0)
+def _bernoulli2(t: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """B2 on the fractional part, f * f - f + 1/6 with f = t - floor(t),
+    written over t (tmp is clobbered); continuity of B2 at 0/1 makes the
+    rounding of t - floor(t) at the seam harmless."""
+    f = np.subtract(t, np.floor(t, out=tmp), out=t)
+    return np.add(np.subtract(np.multiply(f, f, out=tmp), f, out=tmp), 1.0 / 6.0, out=t)
 
 
 def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[float, float]:
     """(value, compensation) of sum_{k,l} (K(x_k, x_l) - g_k - g_l), where
-    block_fn(xi, xj) returns the kernel matrix of rows xi against columns xj
-    and the optional per-point term g is folded into the summand.
+    block_fn(xi, xj, K, f, tmp) builds the kernel matrix of rows xi against
+    columns xj in the buffer K (see `_product_kernel`) and the optional
+    per-point term g is folded into the summand.
     Off-diagonal blocks contribute twice (symmetry); the factor two is exact.
 
     Each block is built and folded in row strips by `strip_sum`, and block
     pairs run on the worker pool; their (value, compensation) pairs are
-    added in block order by one compensated running sum."""
+    added in block order by one compensated running sum. A block takes a
+    scratch set from a pool that lives for this call and puts it back when
+    done, so there is one set per worker in flight, sized for the first
+    block, which no other block exceeds in size or strips."""
     n = x.shape[0]
     pairs = [(i0, j0) for i0 in range(0, n, _BLOCK) for j0 in range(i0, n, _BLOCK)]
+    width = min(n, _BLOCK)
+    idle = queue.SimpleQueue()
 
     def block_sum(pair):
         i0, j0 = pair
         xi, xj = x[i0 : i0 + _BLOCK], x[j0 : j0 + _BLOCK]
 
-        def strip(r0, r1):
-            K = block_fn(xi[r0:r1], xj)
+        def strip(r0, r1, bufs):
+            K = block_fn(xi[r0:r1], xj, *bufs)
             if g is not None:
                 K -= g[i0 + r0 : i0 + r1, None]
                 K -= g[None, j0 : j0 + xj.shape[0]]
             return K
 
-        return strip_sum(xi.shape[0], xj.shape[0], strip)
+        try:
+            scratch = idle.get_nowait()
+        except queue.Empty:
+            scratch = strip_scratch(width, width)
+        try:
+            return strip_sum(xi.shape[0], xj.shape[0], strip, scratch)
+        finally:
+            idle.put(scratch)
 
     sums = np.array(_ordered_map(block_sum, pairs))  # row k: block pair k's (hi, lo)
     sums[[j0 > i0 for i0, j0 in pairs]] *= 2.0
@@ -110,17 +132,29 @@ def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[flo
     return float(value[-1]), float(comp[-1])
 
 
-def _product_kernel(factor, combine=lambda K, f: np.multiply(K, f, out=K)):
+def _product_kernel(factor, combine=lambda K, f, tmp: np.multiply(K, f, out=K)):
     """Block kernel folding the outer matrices f = factor(xi_j, xj_j) left to
-    right as K = combine(K, f); by default K *= f, giving prod_j f."""
+    right as K = combine(K, f); by default K *= f, giving prod_j f.
 
-    def block(xi, xj):
-        K = factor(xi[:, 0], xj[:, 0])
+    block(xi, xj, K, f, tmp) builds the kernel in the buffer K, each later
+    factor in f, and returns K: factor(u, v, out, tmp) writes its outer
+    matrix into out and combine(K, f, tmp) updates K in place, each free to
+    clobber tmp. All three buffers are len(xi) x len(xj)."""
+
+    def block(xi, xj, K, f, tmp):
+        factor(xi[:, 0], xj[:, 0], K, tmp)
         for j in range(1, xi.shape[1]):
-            K = combine(K, factor(xi[:, j], xj[:, j]))
+            combine(K, factor(xi[:, j], xj[:, j], f, tmp), tmp)
         return K
 
     return block
+
+
+def _expand(K, a, tmp):
+    """K + a + K a, in that order, written over K."""
+    np.multiply(K, a, out=tmp)
+    np.add(K, a, out=K)
+    return np.add(K, tmp, out=K)
 
 
 def _l2(points: PointSet, factor, point_factor, sign: int, base: int) -> float:
@@ -158,32 +192,46 @@ def _diaphony(points: PointSet, term) -> float:
         raise GuardError(
             f"diaphony overflows a double at d={d}, n={n}: its diagonal terms are (1 + pi^2/3)^d"
         )
-    hi, lo = _pair_sum(x, _product_kernel(term, lambda K, a: K + a + K * a))
+    hi, lo = _pair_sum(x, _product_kernel(term, _expand))
     return math.sqrt(max((hi + lo) / (n * n), 0.0))
 
 
 def star_l2(points: PointSet) -> float:
     """Star L2 discrepancy (anchored boxes), unnormalized."""
-    return _l2(points, lambda u, v: 1.0 - np.maximum.outer(u, v),
-               lambda x: (1.0 - x * x) / 2.0, +1, 3)
+
+    def factor(u, v, out, tmp):  # 1 - max(u, v)
+        return np.subtract(1.0, np.maximum.outer(u, v, out=out), out=out)
+
+    return _l2(points, factor, lambda x: (1.0 - x * x) / 2.0, +1, 3)
 
 
 def extreme_l2(points: PointSet) -> float:
     """Extreme L2 discrepancy (arbitrary boxes), unnormalized."""
-    return _l2(points, lambda u, v: np.minimum.outer(u, v) - np.outer(u, v),
-               lambda x: x * (1.0 - x) / 2.0, +1, 12)
+
+    def factor(u, v, out, tmp):  # min(u, v) - u v
+        np.minimum.outer(u, v, out=out)
+        return np.subtract(out, np.multiply.outer(u, v, out=tmp), out=out)
+
+    return _l2(points, factor, lambda x: x * (1.0 - x) / 2.0, +1, 12)
 
 
 def periodic_l2(points: PointSet) -> float:
     """Periodic L2 discrepancy (boxes modulo one), unnormalized."""
-    return _l2(points, lambda u, v: (1.0 / 3.0) + _bernoulli2(np.subtract.outer(u, v)),
-               None, -1, 3)
+
+    def factor(u, v, out, tmp):  # 1/3 + B2({u - v})
+        return np.add(1.0 / 3.0, _bernoulli2(np.subtract.outer(u, v, out=out), tmp), out=out)
+
+    return _l2(points, factor, None, -1, 3)
 
 
 def diaphony(points: PointSet) -> float:
     """Diaphony: Fourier-weighted uniformity with weights 1/r(h)^2 over
     nonzero integer frequency vectors, normalized by n."""
-    return _diaphony(points, lambda u, v: _TWO_PI_SQ * _bernoulli2(np.subtract.outer(u, v)))
+
+    def term(u, v, out, tmp):  # 2 pi^2 B2({u - v})
+        return np.multiply(_TWO_PI_SQ, _bernoulli2(np.subtract.outer(u, v, out=out), tmp), out=out)
+
+    return _diaphony(points, term)
 
 
 def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
@@ -214,11 +262,12 @@ def diaphony_truncated(points: PointSet, h_max: int) -> tuple[float, float]:
     w = 2.0 / (h * h)
     two_pi_h = 2.0 * math.pi * h
 
-    def g_minus_one(u, v):
-        delta = np.subtract.outer(u, v)
-        out, t = np.zeros_like(delta), np.empty_like(delta)
+    def g_minus_one(u, v, out, t):
+        out.fill(0.0)
         for wk, ak in zip(w, two_pi_h):
-            np.cos(np.multiply(delta, ak, out=t), out=t)
+            np.subtract.outer(u, v, out=t)  # rebuilt per h: no third buffer
+            t *= ak
+            np.cos(t, out=t)
             t *= wk
             out += t
         return out

@@ -31,6 +31,7 @@ def radical_inverse(k: int, base: int) -> float:
     k = sum a_i b^i maps to sum a_i b^(-i-1), always in [0, 1). Exact in
     float64 whenever the base is a power of two and k < 2^53.
     """
+    k, base = _as_integer("index", k), _as_integer("base", base)
     return float(radical_inverses(np.array([k]), base)[0])
 
 
@@ -112,6 +113,7 @@ def prefix(gen: Halton, n: int) -> PointSet:
 def lift(source: Halton | PointSet, n: int) -> PointSet:
     """First n terms with k/n appended: the set {(y_k, k/n) : k < n} in
     dimension d+1."""
+    n = _as_integer("lift length", n)
     if n < 1:
         raise ValueError(f"lift length must be >= 1, got {n}")
     if isinstance(source, PointSet):

@@ -274,62 +274,92 @@ def test_diaphony_refuses_overflowing_dimensions():
 # ---------------------------------------------------------------------------
 
 
+def _build(block_fn, xi, xj):
+    """One kernel block built whole, in fresh buffers."""
+    return block_fn(xi, xj, *(np.empty((len(xi), len(xj))) for _ in range(3)))
+
+
 def _whole_block_pair_sum(x, block_fn, g):
     """The pair sum with every block built whole and summed by comp_sum."""
     n, acc = x.shape[0], KernelAccumulator()
     for i0 in range(0, n, exact_l2._BLOCK):
         for j0 in range(i0, n, exact_l2._BLOCK):
-            K = block_fn(x[i0 : i0 + exact_l2._BLOCK], x[j0 : j0 + exact_l2._BLOCK])
-            K -= g[i0 : i0 + exact_l2._BLOCK, None]
-            K -= g[None, j0 : j0 + exact_l2._BLOCK]
+            K = _build(block_fn, x[i0 : i0 + exact_l2._BLOCK], x[j0 : j0 + exact_l2._BLOCK])
+            if g is not None:
+                K -= g[i0 : i0 + exact_l2._BLOCK, None]
+                K -= g[None, j0 : j0 + exact_l2._BLOCK]
             hi, lo = comp_sum(K)
             acc.add_pair(*((2.0 * hi, 2.0 * lo) if j0 > i0 else (hi, lo)))
     return acc.parts
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("d", [1, 3])
+def _pair_sum_args(monkeypatch, fn, points):
+    """The (x, block_fn, g) that fn(points) passes to the pair sum, which is
+    not run."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(exact_l2, "_pair_sum", lambda *args: calls.append(args) or (0.0, 0.0))
+        fn(points)
+    (args,) = calls
+    return args if len(args) == 3 else (*args, None)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_pair_sum_equals_whole_block_comp_sums(monkeypatch, d, threads):
+    # every kernel; each worker reuses its strip buffers across full and
+    # ragged blocks (1024 + 76, and a 1 x 1 last block at 2049), so a stale
+    # entry left by one block would show at some thread cap
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that cap 3 runs on any host
     monkeypatch.setenv("DISCLAB_THREADS", threads)
-    x = random_point_set(1100, d, 40 + d).coords  # ragged: 1024 + 76
-    g = np.prod((1.0 - x * x) / 2.0, axis=1)
-    block_fn = exact_l2._product_kernel(lambda u, v: 1.0 - np.maximum.outer(u, v))
-    assert exact_l2._pair_sum(x, block_fn, g) == _whole_block_pair_sum(x, block_fn, g)
+    for n in (1100, 2049):
+        p = random_point_set(n, d, 40 + d)
+        for fn in (star_l2, extreme_l2, periodic_l2, diaphony, lambda q: diaphony_truncated(q, 2)):
+            x, block_fn, g = _pair_sum_args(monkeypatch, fn, p)
+            want = _whole_block_pair_sum(x, block_fn, g)
+            assert exact_l2._pair_sum(x, block_fn, g) == want, (n, fn)
 
 
-@pytest.mark.parametrize("fn", [star_l2, periodic_l2, lambda p: diaphony_truncated(p, 8)])
-def test_pair_sum_memory_stays_small_at_one_worker(monkeypatch, fn):
-    # a whole 1024 x 1024 block and comp_sum's temporaries took 24-32 MiB;
-    # strips leave the level-error buffers, 8 MiB, and a few strips
-    monkeypatch.setenv("DISCLAB_THREADS", "1")
+MEMORY_FNS = [star_l2, extreme_l2, periodic_l2, diaphony, lambda p: diaphony_truncated(p, 8)]
+
+
+def _pair_sum_peak(monkeypatch, fn, threads):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("DISCLAB_THREADS", str(threads))
     p = prefix(Halton((2, 3)), 4096)
     tracemalloc.start()
     try:
         fn(p)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fn", MEMORY_FNS)
+def test_pair_sum_memory_stays_small_at_one_worker(monkeypatch, fn):
+    # a whole 1024 x 1024 block and comp_sum's temporaries took 24-32 MiB;
+    # strips leave the level-error buffers, 8 MiB, a scratch set of three
+    # 2^16-entry strips, 1.5 MiB, and the block's partial sums
+    peak = _pair_sum_peak(monkeypatch, fn, 1)
     assert peak < 12 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("fn", MEMORY_FNS)
+def test_pair_sum_memory_stays_small_at_two_workers(monkeypatch, fn):
+    # each worker in flight holds one block's buffers and one scratch set
+    peak = _pair_sum_peak(monkeypatch, fn, 2)
+    assert peak < 2 * (12 << 20), f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_truncated_kernel_rows_do_not_depend_on_the_slice(monkeypatch):
     # strip_sum builds a block a few rows at a time, so a row of the kernel
     # must come out the same whether it is built alone, in a strip or in the
     # whole block; a BLAS matrix-vector product over h does not
-    kernels = []
-
-    def spy(x, block_fn, g=None):
-        kernels.append(block_fn)
-        return real(x, block_fn, g)
-
-    real = exact_l2._pair_sum
-    monkeypatch.setattr(exact_l2, "_pair_sum", spy)
     x = random_point_set(300, 2, 7).coords
-    diaphony_truncated(PointSet(x), 64)
-    (block_fn,) = kernels
-    whole = block_fn(x, x)
+    _, block_fn, _ = _pair_sum_args(monkeypatch, lambda p: diaphony_truncated(p, 64), PointSet(x))
+    whole = _build(block_fn, x, x)
     for r0, r1 in [(0, 1), (5, 6), (0, 32), (32, 64), (100, 137), (299, 300), (1, 300)]:
-        assert np.array_equal(block_fn(x[r0:r1], x), whole[r0:r1]), (r0, r1)
+        assert np.array_equal(_build(block_fn, x[r0:r1], x), whole[r0:r1]), (r0, r1)
 
 
 def test_truncated_diaphony_multiblock_bits_do_not_depend_on_thread_cap(monkeypatch):

@@ -22,6 +22,15 @@ def test_radical_inverse_base_guard():
         radical_inverse(-1, 2)
 
 
+def test_radical_inverse_refuses_non_integers():
+    # a float base or index used to be digit-split as is: 0.36 and 0.5 here
+    with pytest.raises(ValueError, match="^base must be an integer"):
+        radical_inverse(3, 2.5)
+    with pytest.raises(ValueError, match="^index must be an integer"):
+        radical_inverse(2.5, 2)
+    assert radical_inverse(np.int64(3), np.int64(2)) == radical_inverse(3, 2) == 0.75
+
+
 @given(st.integers(0, 10**9), st.integers(2, 16))
 @settings(max_examples=300)
 def test_radical_inverse_in_unit_interval(k, b):
@@ -141,6 +150,14 @@ def test_lift_from_explicit_points():
     p = lift(base, 5)
     assert p.n == 5 and p.d == 3
     np.testing.assert_array_equal(p.coords[:, :2], base.coords[:5])
+
+
+@pytest.mark.parametrize("source", [VanDerCorput(2), prefix(Halton((2, 3)), 8)])
+def test_lift_refuses_a_non_integer_length(source):
+    # a point set used to fail with a bare TypeError from slicing
+    with pytest.raises(ValueError, match="^lift length must be an integer"):
+        lift(source, 2.5)
+    assert lift(source, np.int64(3)).n == 3
 
 
 def test_generators_are_pure():

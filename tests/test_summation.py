@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from disclab import summation
 from disclab.exact_l2 import _product_kernel
-from disclab.summation import comp_sum, exact_ratio_parts, running_sum, strip_sum
+from disclab.summation import comp_sum, exact_ratio_parts, running_sum, strip_scratch, strip_sum
 from scalar_sum import KernelAccumulator
 
 
@@ -100,8 +100,8 @@ def test_exact_ratio_parts_recovers_fraction():
         assert abs(err) <= abs(Fraction(num, den)) / 2**100
 
 
-def _star_factor(u, v):
-    return 1.0 - np.maximum.outer(u, v)
+def _star_factor(u, v, out, tmp):
+    return np.subtract(1.0, np.maximum.outer(u, v, out=out), out=out)
 
 
 # ragged shapes: one strip, one row, one column, odd strips, a short last
@@ -117,18 +117,22 @@ def test_strip_fold_equals_comp_sum_of_the_built_block(rows, cols, d):
     xi, xj = rng.random((rows, d)), rng.random((cols, d))
     gi, gj = rng.random(rows) / 2.0, rng.random(cols) / 2.0
     kernel = _product_kernel(_star_factor)
-    whole = kernel(xi, xj)
-    assert strip_sum(rows, cols, lambda r0, r1: kernel(xi[r0:r1], xj)) == comp_sum(whole)
+    whole = kernel(xi, xj, *(np.empty((rows, cols)) for _ in range(3)))
+    scratch = strip_scratch(rows, cols)
+    assert strip_sum(rows, cols, lambda r0, r1, bufs: kernel(xi[r0:r1], xj, *bufs),
+                     scratch) == comp_sum(whole)
 
-    def strip_with_g(r0, r1):
-        K = kernel(xi[r0:r1], xj)
+    def strip_with_g(r0, r1, bufs):
+        K = kernel(xi[r0:r1], xj, *bufs)
         K -= gi[r0:r1, None]
         K -= gj[None, :]
         return K
 
     whole -= gi[:, None]
     whole -= gj[None, :]
-    assert strip_sum(rows, cols, strip_with_g) == comp_sum(whole)
+    # the scratch holds the first sum's strips and fold levels: reusing it
+    # must not change the second
+    assert strip_sum(rows, cols, strip_with_g, scratch) == comp_sum(whole)
 
 
 @given(st.integers(1, 300), st.integers(1, 150), st.integers(0, 2**32 - 1))
@@ -140,10 +144,16 @@ def test_strip_fold_equals_comp_sum_with_small_strips(rows, cols, seed):
     # magnitudes over 24 decades: every level has errors, and their sum
     # changes with the order they are added in
     m = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-12.0, 12.0, (rows, cols))
+
+    def strip(r0, r1, bufs):  # built in the scratch, where the fold's sums go too
+        assert 0 <= r0 < r1 <= rows
+        bufs[0][...] = m[r0:r1]
+        return bufs[0]
+
     saved = summation._STRIP, summation._STRIP_REST
     summation._STRIP, summation._STRIP_REST = 64, 4
     try:
-        folded = strip_sum(rows, cols, lambda r0, r1: m[r0:r1].copy())
+        folded = strip_sum(rows, cols, strip, strip_scratch(rows, cols))
     finally:
         summation._STRIP, summation._STRIP_REST = saved
     assert folded == comp_sum(m)
