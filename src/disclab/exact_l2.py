@@ -37,11 +37,12 @@ upper triangle of 1024 x 1024 blocks and doubles off-diagonal ones exactly.
 A block is never built whole: `summation.strip_sum` builds it in row strips
 of 2^16 entries at full width (64 rows; 2^15 entries below 1024 columns),
 and each strip runs the first levels of the block's TwoSum tree while it is
-in cache, writing their rounding errors straight into per-level buffers at
-the offsets `comp_sum` gives them; the strips' partial sums then finish the
-tree. Every kernel gives each entry a value that depends on its two points
-alone, so each block's (value, compensation) is bit for bit comp_sum of the
-whole block.
+in cache. Each level's rounding errors go to a buffer of a few strips,
+which is summed out node by node of numpy's pairwise tree over the whole
+level, so it adds them to the bits of comp_sum's one np.sum per level; the
+strips' partial sums then finish the tree. Every kernel gives each entry a
+value that depends on its two points alone, so each block's (value,
+compensation) is bit for bit comp_sum of the whole block.
 
 Every kernel factor, the product, the diaphony's K + a + K a and the g
 subtraction write into strip buffers with `out=`, operands in the plain
@@ -100,7 +101,7 @@ def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[flo
     added in block order by one compensated running sum. A block takes a
     scratch set from a pool that lives for this call and puts it back when
     done, so there is one set per worker in flight, sized for the first
-    block, which no other block exceeds in size or strips."""
+    block, in which every other block fits."""
     n = x.shape[0]
     pairs = [(i0, j0) for i0 in range(0, n, _BLOCK) for j0 in range(i0, n, _BLOCK)]
     width = min(n, _BLOCK)

@@ -14,8 +14,11 @@ represents the true sum up to O(n * eps^2 * sum|terms|), far inside the
 runs the same tree, to the same bits, over a matrix that is built and folded
 a row strip at a time in buffers its caller owns (`strip_scratch`), so
 summing a large matrix makes few numpy calls and allocates nothing per
-strip. `running_sum` gives every prefix of a sequence its compensated sum,
-adding the terms one at a time in order.
+strip. It sums each level's errors as they arrive, in a buffer of a few
+strips, relying on numpy's pairwise-sum rule for contiguous float64 to
+give the bits of one np.sum over the whole level (`_LevelSum`), so its
+scratch does not grow with the matrix. `running_sum` gives every prefix of
+a sequence its compensated sum, adding the terms one at a time in order.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ __all__ = ["comp_sum", "strip_sum", "strip_scratch", "running_sum", "exact_ratio
 _STRIP = 1 << 15  # entries per strip of `strip_sum`: 256 KiB of doubles
 _WIDE = 1 << 10  # from this many columns on, a strip holds 2 * _STRIP entries
 _STRIP_REST = 1 << 11  # a strip stops folding at this many partial sums
+_HELD = 4  # strips' errors a level buffer of `strip_sum` holds
+_LEAF = 128  # numpy's pairwise sum adds at most this many entries directly
 
 
 def comp_sum(values: np.ndarray) -> tuple[float, float]:
@@ -55,12 +60,29 @@ def _strip_rows(cols: int) -> int:
 
 
 def strip_scratch(rows: int, cols: int) -> tuple[np.ndarray, ...]:
-    """Flat buffers for `strip_sum` on a rows x cols matrix, or on any
-    matrix no larger whose strips are no larger: three that hold a strip,
-    and one for the strip levels' errors and the strips' partial sums,
-    whose sizes ceil(rows cols / 2^L) add up to less than rows cols + 64."""
-    size = min(_strip_rows(cols), rows) * cols
-    return (*(np.empty(size) for _ in range(3)), np.empty(rows * cols + 64))
+    """Flat buffers for `strip_sum` on a rows x cols matrix: three that
+    hold a strip, and one for the strip levels' error buffers and the
+    strips' partial sums. Each level buffer holds the whole level or, where
+    that is longer, _LEAF entries plus _HELD strips' errors; a matrix of
+    one strip needs none. A smaller matrix fits where its strips and its
+    levels need no more space, as every matrix of at most 1024 rows and
+    columns does in a 1024 x 1024 set; too little space raises."""
+    h = _strip_rows(cols)
+    _, caps, m = _levels(rows, cols) if rows > h else ((), (), 0)
+    return (*(np.empty(min(h, rows) * cols) for _ in range(3)), np.empty(sum(caps) + m))
+
+
+def _levels(rows: int, cols: int) -> tuple[list, list, int]:
+    """The lengths of the strip-local fold levels of a rows x cols matrix,
+    the sizes of their buffers, and the number of the strips' partial sums."""
+    span = _strip_rows(cols) * cols
+    local = min(span & -span, span // _STRIP_REST).bit_length() - 1
+    sizes, caps, m = [], [], rows * cols
+    for level in range(1, local + 1):
+        m = (m + 1) // 2
+        sizes.append(m)
+        caps.append(min(m, _LEAF + _HELD * (span >> level)))
+    return sizes, caps, m
 
 
 def strip_sum(rows: int, cols: int, strip, scratch) -> tuple[float, float]:
@@ -79,37 +101,108 @@ def strip_sum(rows: int, cols: int, strip, scratch) -> tuple[float, float]:
     pairs entries of one strip only, and only the last strip can pad an odd
     level. So each strip runs those levels itself, stopping while it still
     has _STRIP_REST partial sums (below that, each numpy call does too
-    little work to pay for itself), and writes level L's errors into a level
-    buffer at the offset the whole-matrix fold gives them. The strips'
-    partial sums then finish the tree once per matrix. The level buffers and
-    the partial sums are slices of scratch[3], and the level sums of a strip,
-    and of that last fold where they fit, ping-pong in the strip buffers, so
-    a caller that keeps its scratch allocates nothing per strip and only the
-    last fold's small error arrays per matrix. Each level's error array
-    equals the one comp_sum(matrix) builds and is summed by one np.sum, and
-    each entry goes through the same additions in the same order, so the
-    result is bit-identical to comp_sum(matrix).
+    little work to pay for itself), and hands level L's errors, the next
+    stretch of the error array comp_sum(matrix) builds for that level, to a
+    `_LevelSum`, which sums them as they arrive in a buffer of a few strips.
+    The strips' partial sums then finish the tree once per matrix. The level
+    buffers and the partial sums are slices of scratch[3], and the level
+    sums of a strip, and of that last fold where they fit, ping-pong in the
+    strip buffers, so a caller that keeps its scratch allocates nothing per
+    strip and only the last fold's small error arrays per matrix. Each level
+    sum is bit for bit the np.sum of its error array, and each entry goes
+    through the same additions in the same order, so the result is
+    bit-identical to comp_sum(matrix).
     """
     h = _strip_rows(cols)
     if rows <= h:
         return comp_sum(strip(0, rows, _views(scratch, rows, cols)))
     span = h * cols
-    local = min(span & -span, span // _STRIP_REST).bit_length() - 1
-    errors, m, used, levels = [], rows * cols, 0, scratch[3]
-    for _ in range(local):
-        m = (m + 1) // 2
-        errors.append(levels[used : used + m])
-        used += m
-    rest = levels[used : used + m]
+    sizes, caps, m = _levels(rows, cols)
+    if scratch[3].size < sum(caps) + m:
+        raise ValueError(f"strip scratch too small for a {rows} x {cols} matrix")
+    levels, used = [], 0
+    for size, cap in zip(sizes, caps):
+        levels.append(_LevelSum(scratch[3][used : used + cap], size))
+        used += cap
+    rest, local = scratch[3][used : used + m], len(levels)
     full = _views(scratch, h, cols)
     for r0 in range(0, rows, h):
         start, stop = r0 * cols, (r0 + h) * cols  # slices clip the last strip
-        out = [e[start >> lv : stop >> lv] for lv, e in enumerate(errors, 1)]
         r1 = min(r0 + h, rows)
         bufs = full if r1 - r0 == h else _views(scratch, r1 - r0, cols)
+        out = [lv.take(span >> level) for level, lv in enumerate(levels, 1)]
         rest[start >> local : stop >> local] = _fold(strip(r0, r1, bufs).ravel(), out, scratch)
     tail = [None] * (m - 1).bit_length()
-    return _finish(_fold(rest, tail, scratch), errors + tail)
+    last = _fold(rest, tail, scratch)
+    return float(last[0]), math.fsum([*(lv.total() for lv in levels), *map(np.sum, tail)])
+
+
+class _LevelSum:
+    """np.sum of one fold level's error array, bit for bit, from its
+    stretches as they arrive in order, in a buffer `buf` that may be shorter.
+
+    For contiguous float64, numpy's sum is 0.0 + pw(a) (numpy 2.x; Higham,
+    SIAM J. Sci. Comput. 14 (1993)): pw adds at most _LEAF entries directly
+    and splits a longer span of n at n//2 - (n//2) % 8. That tree depends on
+    the level's length alone, and a node's pw on its own entries alone. So
+    when the next stretch does not fit, each node that has fully arrived is
+    summed by one np.sum, and the rest, part of one leaf, moves to the front
+    of buf. The node sums are added up the tree at the end: a node's np.sum
+    is 0.0 + pw, which only turns -0.0 into +0.0, and the sum of two such
+    values is 0.0 + pw of their parent, so the root is np.sum of the level.
+    """
+
+    __slots__ = ("buf", "size", "base", "fill", "nodes")
+
+    def __init__(self, buf: np.ndarray, size: int):
+        self.buf, self.size, self.base, self.fill, self.nodes = buf, size, 0, 0, {}
+
+    def take(self, k: int) -> np.ndarray:
+        """The slot the caller writes the level's next k entries to (or the
+        rest of the level); k is at most buf.size - _LEAF + 1 unless the
+        whole level fits in buf."""
+        k = min(k, self.size - self.base - self.fill)
+        if self.fill + k > self.buf.size:
+            end = self.base + self.fill
+            keep = _sum_nodes(self.buf, self.base, end, 0, self.size, self.nodes)
+            self.buf[: end - keep] = self.buf[keep - self.base : self.fill]
+            self.base, self.fill = keep, end - keep
+        self.fill += k
+        return self.buf[self.fill - k : self.fill]
+
+    def total(self) -> float:
+        """np.sum of the whole level, once all of it has arrived."""
+        return _tree_sum(self.buf, self.base, 0, self.size, self.nodes)
+
+
+def _sum_nodes(buf, base: int, end: int, lo: int, n: int, nodes: dict) -> int:
+    """Store in nodes[lo', n'] the np.sum of every largest node (lo', n')
+    under node (lo, n) that lies in [base, end), where buf[i - base] is
+    entry i; return where the entries left unsummed start: at the leaf that
+    end cuts, else at end."""
+    hi = lo + n
+    if hi <= base or lo >= end:
+        return end
+    if base <= lo and hi <= end:
+        nodes[lo, n] = np.sum(buf[lo - base : hi - base])
+        return end
+    if n <= _LEAF:
+        return lo
+    half = n // 2 - n // 2 % 8
+    left = _sum_nodes(buf, base, end, lo, half, nodes)
+    return min(left, _sum_nodes(buf, base, end, lo + half, n - half, nodes))
+
+
+def _tree_sum(buf, base: int, lo: int, n: int, nodes: dict) -> float:
+    """0.0 + pw of node (lo, n) of a level that has fully arrived: its
+    stored sum, its np.sum where it lies in buf (entries from base on), or
+    the sum of its two halves."""
+    if (lo, n) in nodes:
+        return nodes[lo, n]
+    if lo >= base:
+        return np.sum(buf[lo - base : lo - base + n])
+    half = n // 2 - n // 2 % 8
+    return _tree_sum(buf, base, lo, half, nodes) + _tree_sum(buf, base, lo + half, n - half, nodes)
 
 
 def _views(scratch, rows: int, cols: int) -> list:

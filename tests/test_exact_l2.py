@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import tracemalloc
@@ -323,32 +324,48 @@ def test_pair_sum_equals_whole_block_comp_sums(monkeypatch, d, threads):
 MEMORY_FNS = [star_l2, extreme_l2, periodic_l2, diaphony, lambda p: diaphony_truncated(p, 8)]
 
 
-def _pair_sum_peak(monkeypatch, fn, threads):
+def _traced(monkeypatch, fn, threads):
+    """(bytes still traced after fn returns, traced peak) of fn on Halton
+    (2, 3), n = 4096, with the cycle collector off, so buffers that only it
+    would free stay traced."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("DISCLAB_THREADS", str(threads))
     p = prefix(Halton((2, 3)), 4096)
+    collecting = gc.isenabled()
+    gc.disable()
     tracemalloc.start()
     try:
         fn(p)
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        if collecting:
+            gc.enable()
 
 
 @pytest.mark.parametrize("fn", MEMORY_FNS)
 def test_pair_sum_memory_stays_small_at_one_worker(monkeypatch, fn):
     # a whole 1024 x 1024 block and comp_sum's temporaries took 24-32 MiB;
-    # strips leave the level-error buffers, 8 MiB, a scratch set of three
-    # 2^16-entry strips, 1.5 MiB, and the block's partial sums
-    peak = _pair_sum_peak(monkeypatch, fn, 1)
-    assert peak < 12 << 20, f"peak {peak / 2**20:.1f} MiB"
+    # strips leave a scratch set of three 2^16-entry strips, 1.5 MiB, level
+    # buffers of 128 entries plus four strips' errors, 2 MiB, and the
+    # block's partial sums, 0.25 MiB
+    _, peak = _traced(monkeypatch, fn, 1)
+    assert peak < 6 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("fn", MEMORY_FNS)
 def test_pair_sum_memory_stays_small_at_two_workers(monkeypatch, fn):
     # each worker in flight holds one block's buffers and one scratch set
-    peak = _pair_sum_peak(monkeypatch, fn, 2)
-    assert peak < 2 * (12 << 20), f"peak {peak / 2**20:.1f} MiB"
+    _, peak = _traced(monkeypatch, fn, 2)
+    assert peak < 2 * (6 << 20), f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("fn", [star_l2, extreme_l2, diaphony])
+def test_pair_sum_leaves_nothing_for_the_cycle_collector(monkeypatch, fn):
+    # a reference cycle through a block's scratch would keep its megabytes
+    # alive after the call until the collector ran
+    left, _ = _traced(monkeypatch, fn, 2)
+    assert left < 64 << 10, f"{left / 2**10:.1f} KiB left"
 
 
 def test_truncated_kernel_rows_do_not_depend_on_the_slice(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -105,9 +106,12 @@ def _star_factor(u, v, out, tmp):
 
 
 # ragged shapes: one strip, one row, one column, odd strips, a short last
-# strip whose fold pads down to a single value, and full-width blocks
+# strip whose fold pads down to a single value, and full-width blocks; in
+# the 1000- and 1023-column shapes numpy's pairwise splits of a level fall
+# inside strips, and the level buffers fill several times
 STRIP_SHAPES = [(1, 1), (1, 1024), (1000, 1), (3, 5), (33, 7), (65, 513), (257, 1024),
-                (1024, 476), (1024, 1024)]
+                (1024, 476), (1024, 1024), (1000, 1000), (1023, 1024), (1024, 1000),
+                (76, 1024)]
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -157,3 +161,53 @@ def test_strip_fold_equals_comp_sum_with_small_strips(rows, cols, seed):
     finally:
         summation._STRIP, summation._STRIP_REST = saved
     assert folded == comp_sum(m)
+
+
+def test_full_block_scratch_holds_every_smaller_block():
+    # one 1024 x 1024 scratch set serves every block of a pair sum; a matrix
+    # needs the most level space at its most rows, so 1024 rows of each
+    # width cover every smaller block
+    space = strip_scratch(1024, 1024)[3].size
+    for cols in range(1, 1025):
+        _, caps, m = summation._levels(1024, cols)
+        assert sum(caps) + m <= space, cols
+    # a narrower set need not hold a matrix with no larger strips: 511
+    # columns fold one level less than 512 before the partial sums
+    m = np.ones((1024, 511))
+    with pytest.raises(ValueError, match="too small"):
+        strip_sum(1024, 511, lambda r0, r1, bufs: m[r0:r1], strip_scratch(1024, 512))
+
+
+def _level_sum_of_pieces(a, pieces, held):
+    """a summed by a `_LevelSum` whose buffer holds _LEAF entries plus held
+    of the largest piece, fed in pieces whose sizes cycle through `pieces`."""
+    buf = np.empty(min(a.size, summation._LEAF + held * max(pieces)))
+    level, i, sizes = summation._LevelSum(buf, a.size), 0, itertools.cycle(pieces)
+    while i < a.size:
+        slot = level.take(next(sizes))
+        slot[...] = a[i : i + slot.size]
+        i += slot.size
+    return level.total()
+
+
+@given(st.integers(1, 5000), st.lists(st.integers(1, 300), min_size=1, max_size=5),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_level_sum_follows_numpys_pairwise_rule(size, pieces, held, seed):
+    # the streamed sum relies on numpy summing contiguous float64 as
+    # 0.0 + pw(a), with pw splitting spans longer than 128 at
+    # n//2 - (n//2) % 8: a numpy release that changes that rule fails here
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=size) * 10.0 ** rng.uniform(-12.0, 12.0, size)
+    a[rng.random(size) < 0.1] = 0.0
+    a[rng.random(size) < 0.1] = -0.0
+    assert _bits(_level_sum_of_pieces(a, pieces, held)) == _bits(np.sum(a))
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 127, 128, 129, 136, 1000, 4099])
+@pytest.mark.parametrize("pieces", [[1], [3, 1, 64], [128]])
+def test_level_sum_of_signed_zeros_and_short_levels(size, pieces):
+    # one-entry pieces, levels of a single leaf, and levels of zeros whose
+    # node sums lose a zero's sign
+    for a in (np.full(size, -0.0), np.arange(size) % 3 - 1.0, -np.arange(size, dtype=float)):
+        assert _bits(_level_sum_of_pieces(a, pieces, 1)) == _bits(np.sum(a))
