@@ -37,12 +37,11 @@ upper triangle of 1024 x 1024 blocks and doubles off-diagonal ones exactly.
 A block is never built whole: `summation.strip_sum` builds it in row strips
 of 2^16 entries at full width (64 rows; 2^15 entries below 1024 columns),
 and each strip runs the first levels of the block's TwoSum tree while it is
-in cache. Each level's rounding errors go to a buffer of a few strips,
-which is summed out node by node of numpy's pairwise tree over the whole
-level, so it adds them to the bits of comp_sum's one np.sum per level; the
+in cache and adds those levels' rounding errors with one np.sum; the
 strips' partial sums then finish the tree. Every kernel gives each entry a
-value that depends on its two points alone, so each block's (value,
-compensation) is bit for bit comp_sum of the whole block.
+value that depends on its two points alone, so each block's value is bit
+for bit comp_sum's of the whole block, and its compensation depends on
+nothing but the block's entries and shape.
 
 Every kernel factor, the product, the diaphony's K + a + K a and the g
 subtraction write into strip buffers with `out=`, operands in the plain
@@ -100,11 +99,11 @@ def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[flo
     pairs run on the worker pool; their (value, compensation) pairs are
     added in block order by one compensated running sum. A block takes a
     scratch set from a pool that lives for this call and puts it back when
-    done, so there is one set per worker in flight, sized for the first
-    block, in which every other block fits."""
+    done, so there is one set per worker in flight, sized for every block
+    shape of the call."""
     n = x.shape[0]
     pairs = [(i0, j0) for i0 in range(0, n, _BLOCK) for j0 in range(i0, n, _BLOCK)]
-    width = min(n, _BLOCK)
+    shapes = {(min(n - i0, _BLOCK), min(n - j0, _BLOCK)) for i0, j0 in pairs}
     idle = queue.SimpleQueue()
 
     def block_sum(pair):
@@ -121,7 +120,7 @@ def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[flo
         try:
             scratch = idle.get_nowait()
         except queue.Empty:
-            scratch = strip_scratch(width, width)
+            scratch = strip_scratch(*shapes)
         try:
             return strip_sum(xi.shape[0], xj.shape[0], strip, scratch)
         finally:

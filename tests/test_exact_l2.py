@@ -27,6 +27,7 @@ from disclab import (
 )
 from disclab.summation import comp_sum
 from scalar_sum import KernelAccumulator
+from strip_reference import strip_comp_sum
 
 inner_coord = st.integers(1, 2**20 - 1).map(lambda j: j / 2**20)
 
@@ -281,7 +282,8 @@ def _build(block_fn, xi, xj):
 
 
 def _whole_block_pair_sum(x, block_fn, g):
-    """The pair sum with every block built whole and summed by comp_sum."""
+    """The pair sum with every block built whole: its value by comp_sum, its
+    compensation by the strip grouping's reference."""
     n, acc = x.shape[0], KernelAccumulator()
     for i0 in range(0, n, exact_l2._BLOCK):
         for j0 in range(i0, n, exact_l2._BLOCK):
@@ -289,7 +291,7 @@ def _whole_block_pair_sum(x, block_fn, g):
             if g is not None:
                 K -= g[i0 : i0 + exact_l2._BLOCK, None]
                 K -= g[None, j0 : j0 + exact_l2._BLOCK]
-            hi, lo = comp_sum(K)
+            hi, lo = comp_sum(K)[0], strip_comp_sum(K)[1]
             acc.add_pair(*((2.0 * hi, 2.0 * lo) if j0 > i0 else (hi, lo)))
     return acc.parts
 
@@ -309,11 +311,12 @@ def _pair_sum_args(monkeypatch, fn, points):
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_pair_sum_equals_whole_block_comp_sums(monkeypatch, d, threads):
     # every kernel; each worker reuses its strip buffers across full and
-    # ragged blocks (1024 + 76, and a 1 x 1 last block at 2049), so a stale
-    # entry left by one block would show at some thread cap
+    # ragged blocks (1024 + 76, a 1 x 1 last block at 2049, and last blocks
+    # 615 and 1023 wide, which need more partial-sum space than a full
+    # block), so a stale entry left by one block would show at some thread cap
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that cap 3 runs on any host
     monkeypatch.setenv("DISCLAB_THREADS", threads)
-    for n in (1100, 2049):
+    for n in (1100, 2049, 1639, 2047):
         p = random_point_set(n, d, 40 + d)
         for fn in (star_l2, extreme_l2, periodic_l2, diaphony, lambda q: diaphony_truncated(q, 2)):
             x, block_fn, g = _pair_sum_args(monkeypatch, fn, p)
@@ -346,18 +349,28 @@ def _traced(monkeypatch, fn, threads):
 @pytest.mark.parametrize("fn", MEMORY_FNS)
 def test_pair_sum_memory_stays_small_at_one_worker(monkeypatch, fn):
     # a whole 1024 x 1024 block and comp_sum's temporaries took 24-32 MiB;
-    # strips leave a scratch set of three 2^16-entry strips, 1.5 MiB, level
-    # buffers of 128 entries plus four strips' errors, 2 MiB, and the
-    # block's partial sums, 0.25 MiB
+    # strips leave a scratch set of three 2^16-entry strips, 1.5 MiB, one
+    # strip's level errors, 0.5 MiB, and the block's partial sums, 0.25 MiB:
+    # 2.5 MiB traced
     _, peak = _traced(monkeypatch, fn, 1)
-    assert peak < 6 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 3.5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("fn", MEMORY_FNS)
 def test_pair_sum_memory_stays_small_at_two_workers(monkeypatch, fn):
     # each worker in flight holds one block's buffers and one scratch set
     _, peak = _traced(monkeypatch, fn, 2)
-    assert peak < 2 * (6 << 20), f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 2 * 3.5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_ragged_last_blocks_keep_their_bits():
+    # last blocks 615, 1023 and 1023 columns wide, the widths whose partial
+    # sums need more scratch than a full block's
+    for n, star, extreme in ((1639, "0x1.3c32e452d0daep+1", "0x1.9587f189800b3p-1"),
+                             (2047, "0x1.044254829d848p+1", "0x1.98bb6bc583db6p-1"),
+                             (3071, "0x1.0dcc26308336bp+1", "0x1.c33af779ca53ep-1")):
+        p = prefix(Halton((2, 3)), n)
+        assert (star_l2(p).hex(), extreme_l2(p).hex()) == (star, extreme), n
 
 
 @pytest.mark.parametrize("fn", [star_l2, extreme_l2, diaphony])

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -10,6 +9,7 @@ from disclab import summation
 from disclab.exact_l2 import _product_kernel
 from disclab.summation import comp_sum, exact_ratio_parts, running_sum, strip_scratch, strip_sum
 from scalar_sum import KernelAccumulator
+from strip_reference import strip_comp_sum
 
 
 def test_comp_sum_empty_and_single():
@@ -106,12 +106,17 @@ def _star_factor(u, v, out, tmp):
 
 
 # ragged shapes: one strip, one row, one column, odd strips, a short last
-# strip whose fold pads down to a single value, and full-width blocks; in
-# the 1000- and 1023-column shapes numpy's pairwise splits of a level fall
-# inside strips, and the level buffers fill several times
+# strip whose fold pads down to a single value, and full-width blocks; the
+# 1024 x 1023 block is the last block of a 2047-point pair sum
 STRIP_SHAPES = [(1, 1), (1, 1024), (1000, 1), (3, 5), (33, 7), (65, 513), (257, 1024),
                 (1024, 476), (1024, 1024), (1000, 1000), (1023, 1024), (1024, 1000),
-                (76, 1024)]
+                (76, 1024), (1024, 1023)]
+
+
+def _assert_strip_sum(folded, m):
+    """strip_sum's value is comp_sum's, and its compensation the reference's."""
+    assert folded[0] == comp_sum(m)[0]
+    assert folded[1] == strip_comp_sum(m)[1]
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -122,9 +127,9 @@ def test_strip_fold_equals_comp_sum_of_the_built_block(rows, cols, d):
     gi, gj = rng.random(rows) / 2.0, rng.random(cols) / 2.0
     kernel = _product_kernel(_star_factor)
     whole = kernel(xi, xj, *(np.empty((rows, cols)) for _ in range(3)))
-    scratch = strip_scratch(rows, cols)
-    assert strip_sum(rows, cols, lambda r0, r1, bufs: kernel(xi[r0:r1], xj, *bufs),
-                     scratch) == comp_sum(whole)
+    scratch = strip_scratch((rows, cols))
+    _assert_strip_sum(strip_sum(rows, cols, lambda r0, r1, bufs: kernel(xi[r0:r1], xj, *bufs),
+                                scratch), whole)
 
     def strip_with_g(r0, r1, bufs):
         K = kernel(xi[r0:r1], xj, *bufs)
@@ -134,16 +139,27 @@ def test_strip_fold_equals_comp_sum_of_the_built_block(rows, cols, d):
 
     whole -= gi[:, None]
     whole -= gj[None, :]
-    # the scratch holds the first sum's strips and fold levels: reusing it
-    # must not change the second
-    assert strip_sum(rows, cols, strip_with_g, scratch) == comp_sum(whole)
+    # the scratch holds the first sum's strips, errors and partial sums:
+    # reusing it must not change the second
+    _assert_strip_sum(strip_sum(rows, cols, strip_with_g, scratch), whole)
+
+
+@pytest.mark.parametrize("rows, cols", STRIP_SHAPES)
+def test_strip_sum_groups_errors_per_strip_at_full_strip_sizes(rows, cols):
+    # the kernel matrices above leave errors whose sums came out the same
+    # when grouped per level; magnitudes over 24 decades make them differ
+    rng = np.random.default_rng(rows * 31 + cols)
+    m = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-12.0, 12.0, (rows, cols))
+    _assert_strip_sum(strip_sum(rows, cols, lambda r0, r1, bufs: m[r0:r1],
+                                strip_scratch((rows, cols))), m)
 
 
 @given(st.integers(1, 300), st.integers(1, 150), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_strip_fold_equals_comp_sum_with_small_strips(rows, cols, seed):
-    # 64-entry strips put several strips, and one-row strips where cols > 64,
-    # into matrices small enough to try many shapes
+    # 64-entry strips put several strips, one-row strips where cols > 64,
+    # and strips that fold no level by themselves (odd spans) into matrices
+    # small enough to try many shapes
     rng = np.random.default_rng(seed)
     # magnitudes over 24 decades: every level has errors, and their sum
     # changes with the order they are added in
@@ -157,57 +173,35 @@ def test_strip_fold_equals_comp_sum_with_small_strips(rows, cols, seed):
     saved = summation._STRIP, summation._STRIP_REST
     summation._STRIP, summation._STRIP_REST = 64, 4
     try:
-        folded = strip_sum(rows, cols, strip, strip_scratch(rows, cols))
+        folded = strip_sum(rows, cols, strip, strip_scratch((rows, cols)))
+        _assert_strip_sum(folded, m)
     finally:
         summation._STRIP, summation._STRIP_REST = saved
-    assert folded == comp_sum(m)
+    terms = m.ravel().tolist()
+    budget = 64 * np.finfo(float).eps * math.fsum(map(abs, terms))
+    assert abs((folded[0] + folded[1]) - math.fsum(terms)) <= budget
 
 
 def test_full_block_scratch_holds_every_smaller_block():
-    # one 1024 x 1024 scratch set serves every block of a pair sum; a matrix
-    # needs the most level space at its most rows, so 1024 rows of each
-    # width cover every smaller block
-    space = strip_scratch(1024, 1024)[3].size
-    for cols in range(1, 1025):
-        _, caps, m = summation._levels(1024, cols)
-        assert sum(caps) + m <= space, cols
-    # a narrower set need not hold a matrix with no larger strips: 511
-    # columns fold one level less than 512 before the partial sums
-    m = np.ones((1024, 511))
-    with pytest.raises(ValueError, match="too small"):
-        strip_sum(1024, 511, lambda r0, r1, bufs: m[r0:r1], strip_scratch(1024, 512))
-
-
-def _level_sum_of_pieces(a, pieces, held):
-    """a summed by a `_LevelSum` whose buffer holds _LEAF entries plus held
-    of the largest piece, fed in pieces whose sizes cycle through `pieces`."""
-    buf = np.empty(min(a.size, summation._LEAF + held * max(pieces)))
-    level, i, sizes = summation._LevelSum(buf, a.size), 0, itertools.cycle(pieces)
-    while i < a.size:
-        slot = level.take(next(sizes))
-        slot[...] = a[i : i + slot.size]
-        i += slot.size
-    return level.total()
-
-
-@given(st.integers(1, 5000), st.lists(st.integers(1, 300), min_size=1, max_size=5),
-       st.integers(1, 4), st.integers(0, 2**32 - 1))
-@settings(max_examples=300, deadline=None)
-def test_level_sum_follows_numpys_pairwise_rule(size, pieces, held, seed):
-    # the streamed sum relies on numpy summing contiguous float64 as
-    # 0.0 + pw(a), with pw splitting spans longer than 128 at
-    # n//2 - (n//2) % 8: a numpy release that changes that rule fails here
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=size) * 10.0 ** rng.uniform(-12.0, 12.0, size)
-    a[rng.random(size) < 0.1] = 0.0
-    a[rng.random(size) < 0.1] = -0.0
-    assert _bits(_level_sum_of_pieces(a, pieces, held)) == _bits(np.sum(a))
-
-
-@pytest.mark.parametrize("size", [1, 7, 8, 127, 128, 129, 136, 1000, 4099])
-@pytest.mark.parametrize("pieces", [[1], [3, 1, 64], [128]])
-def test_level_sum_of_signed_zeros_and_short_levels(size, pieces):
-    # one-entry pieces, levels of a single leaf, and levels of zeros whose
-    # node sums lose a zero's sign
-    for a in (np.full(size, -0.0), np.arange(size) % 3 - 1.0, -np.arange(size, dtype=float)):
-        assert _bits(_level_sum_of_pieces(a, pieces, 1)) == _bits(np.sum(a))
+    # a pair sum sizes one scratch set per worker from its block shapes:
+    # 1024 x 1024, 1024 x c and c x c for a last block c wide. The set must
+    # hold each block's strip, a full strip's level errors and the block's
+    # partial sums; for c = 615..1023 the 1024 x c block needs the most
+    for c in range(1, 1025):
+        shapes = [(1024, 1024), (1024, c), (c, c)]
+        *strips, space = (b.size for b in strip_scratch(*shapes))
+        for rows, cols in shapes:
+            h = summation._strip_rows(cols)
+            span = h * cols
+            local = min(span & -span, span // summation._STRIP_REST).bit_length() - 1
+            assert min(strips) >= min(h, rows) * cols, (rows, cols)
+            if rows > h:
+                errors = sum(span >> level for level in range(1, local + 1))
+                assert space >= errors + -(-rows * cols >> local), (rows, cols)
+    # a scratch set for other shapes need not hold a matrix: 511 columns
+    # fold one level less than 512 before the partial sums, and 1023
+    # columns keep 2^15-entry strips that fold two less than 1024
+    for rows, cols, other in ((1024, 511, (1024, 512)), (1024, 1023, (1024, 1024))):
+        m = np.ones((rows, cols))
+        with pytest.raises(ValueError, match="too small"):
+            strip_sum(rows, cols, lambda r0, r1, bufs: m[r0:r1], strip_scratch(other))
