@@ -35,23 +35,24 @@ Every pair sum goes through one blocked pair sum, `_pair_sum`. It walks the
 upper triangle of 1024 x 1024 blocks and doubles off-diagonal ones exactly.
 
 A block is never built whole: `summation.strip_sum` builds it in row strips
-of 2^16 entries at full width (64 rows; 2^15 entries below 1024 columns),
-and each strip runs the first levels of the block's TwoSum tree while it is
-in cache and adds those levels' rounding errors with one np.sum; the
-strips' partial sums then finish the tree. Every kernel gives each entry a
-value that depends on its two points alone, so each block's value is bit
-for bit comp_sum's of the whole block, and its compensation depends on
-nothing but the block's entries and shape.
+of 2^16 entries at full width (64 rows; 2^15 entries below 1024 columns; a
+block of fewer rows is one short strip), and each strip runs the first
+levels of the block's TwoSum tree in cache and adds their rounding errors
+with one np.sum; the strips' partial sums then finish the tree. Every kernel
+gives each entry a value that depends on its two points alone, so a block's
+value is bit for bit comp_sum's of the whole block, and its compensation
+depends on nothing but its entries and shape.
 
 Every kernel factor, the product, the diaphony's K + a + K a and the g
 subtraction write into strip buffers with `out=`, operands in the plain
 expression's order, so each entry is the same double. Each worker in flight
-reuses one `summation.strip_scratch` set for the whole pair sum, so a strip
-costs a few dozen numpy calls and no allocation: few calls hold the
-interpreter lock, and two workers overlap. Block pairs run on the worker
-pool (DISCLAB_THREADS, else 8; never more than the CPU count), and their
-(value, compensation) pairs are added in block order by
-`summation.running_sum`, so results do not depend on the thread count.
+reuses one `summation.strip_scratch` set, sized for the call's largest
+block, for the whole pair sum, so a strip costs a few dozen numpy calls and
+no allocation: few calls hold the interpreter lock, and two workers overlap.
+Block pairs run on the worker pool (DISCLAB_THREADS, else 8; never more than
+the CPU count), and their (value, compensation) pairs are added in block
+order by `summation.running_sum`, so results do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -99,11 +100,10 @@ def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[flo
     pairs run on the worker pool; their (value, compensation) pairs are
     added in block order by one compensated running sum. A block takes a
     scratch set from a pool that lives for this call and puts it back when
-    done, so there is one set per worker in flight, sized for every block
-    shape of the call."""
+    done, so there is one set per worker in flight, sized for its largest
+    block, which holds every smaller one."""
     n = x.shape[0]
     pairs = [(i0, j0) for i0 in range(0, n, _BLOCK) for j0 in range(i0, n, _BLOCK)]
-    shapes = {(min(n - i0, _BLOCK), min(n - j0, _BLOCK)) for i0, j0 in pairs}
     idle = queue.SimpleQueue()
 
     def block_sum(pair):
@@ -120,7 +120,7 @@ def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[flo
         try:
             scratch = idle.get_nowait()
         except queue.Empty:
-            scratch = strip_scratch(*shapes)
+            scratch = strip_scratch(min(n, _BLOCK), min(n, _BLOCK))
         try:
             return strip_sum(xi.shape[0], xj.shape[0], strip, scratch)
         finally:

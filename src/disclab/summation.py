@@ -14,8 +14,9 @@ represents the true sum up to O(n * eps^2 * sum|terms|), far inside the
 runs the same tree, to the same value bits, over a matrix that is built and
 folded a row strip at a time in buffers its caller owns (`strip_scratch`),
 so summing a large matrix makes few numpy calls and allocates nothing per
-strip. Its scratch holds one strip's level errors, summed by one np.sum per
-strip, so it does not grow with the matrix beyond the strips' partial sums.
+strip. Every matrix goes through its one strip loop, a small one as one
+short strip. Its scratch holds one strip's level errors, summed by one np.sum
+per strip, so it does not grow with the matrix beyond the partial sums.
 `running_sum` gives every prefix of a sequence its compensated sum, adding
 the terms one at a time in order.
 """
@@ -29,8 +30,9 @@ import numpy as np
 __all__ = ["comp_sum", "strip_sum", "strip_scratch", "running_sum", "exact_ratio_parts"]
 
 _STRIP = 1 << 15  # entries per strip of `strip_sum`: 256 KiB of doubles
-_WIDE = 1 << 10  # from this many columns on, a strip holds 2 * _STRIP entries
-_STRIP_REST = 1 << 11  # a strip stops folding at this many partial sums
+_WIDE = 1 << 10  # a strip holds 2 * _STRIP entries from this many columns on, not
+# at every width: that peaked perfbench `small_sets` 3.5% higher (38.8 -> 40.2 MiB)
+_STRIP_REST = 1 << 11  # a full strip stops folding at this many partial sums
 
 
 def comp_sum(values: np.ndarray) -> tuple[float, float]:
@@ -48,72 +50,68 @@ def comp_sum(values: np.ndarray) -> tuple[float, float]:
     return float(_fold(a, errors)[0]), math.fsum(map(np.sum, errors))
 
 
-def _strip_rows(cols: int) -> int:
-    """Rows per strip of a matrix `cols` wide: the largest power of two h
-    with h * cols <= 2^16 from _WIDE columns on, else <= 2^15 (one row where
-    cols is larger)."""
-    entries = 2 * _STRIP if cols >= _WIDE else _STRIP
-    return 1 << max(0, (entries // cols).bit_length() - 1)
-
-
 def _layout(rows: int, cols: int) -> tuple[int, int, int, int]:
     """(h, L, m, space) of a rows x cols matrix: h rows per strip, the L fold
     levels each strip runs, the m partial sums they leave, and the entries
     `strip_sum` needs in scratch[3], a full strip's level errors and then
-    the partial sums (none for a matrix of one strip)."""
-    h = _strip_rows(cols)
+    the partial sums. h is the largest power of two with h * cols <= S
+    (2^15 entries, 2^16 from _WIDE columns on), clipped to rows; L is the
+    least of the exponent of 2 in h * cols for the unclipped h,
+    log2(S / _STRIP_REST) and the depth of the whole matrix's tree."""
+    entries = 2 * _STRIP if cols >= _WIDE else _STRIP
+    h = 1 << max(0, (entries // cols).bit_length() - 1)
     span = h * cols
-    local = min(span & -span, span // _STRIP_REST).bit_length() - 1
+    depth = (rows * cols - 1).bit_length()
+    local = min((span & -span).bit_length() - 1, (entries // _STRIP_REST).bit_length() - 1, depth)
+    h = min(h, rows)
     m = -(-(rows * cols) >> local)
-    return h, local, m, (span - (span >> local) + m if rows > h else 0)
+    return h, local, m, sum(-(-h * cols >> level) for level in range(1, local + 1)) + m
 
 
-def strip_scratch(*shapes: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """Flat buffers in which `strip_sum` sums a matrix of any of the given
-    (rows, cols) shapes: three that hold a strip, and one for a strip's level
-    errors and the strips' partial sums. Fewer rows never need more space,
-    but fewer columns may: 1024 x 1023 needs more than 1024 x 1024. All four
-    are views of one allocation: as four arrays, under glibc's default
-    malloc thresholds each pair sum of a few hundred points faulted its
-    scratch in afresh."""
-    strip = max(min(_strip_rows(cols), rows) * cols for rows, cols in shapes)
-    space = max(_layout(rows, cols)[3] for rows, cols in shapes)
+def strip_scratch(rows: int, cols: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers in which `strip_sum` sums a rows x cols matrix: three
+    that hold a strip, and one for a strip's level errors and the partial
+    sums. Fewer rows never need more, nor does any matrix within 1024 x 1024
+    (whose strips double), but fewer columns can: 1000 x 512 needs more than
+    1000 x 513. All four are views of one allocation: as four arrays, under
+    glibc's default malloc thresholds each pair sum of a few hundred points
+    faulted its scratch in afresh."""
+    h, _, _, space = _layout(rows, cols)
+    strip = h * cols
     buf = np.empty(3 * strip + space)
     return (*(buf[i * strip : (i + 1) * strip] for i in range(3)), buf[3 * strip :])
 
 
 def strip_sum(rows: int, cols: int, strip, scratch) -> tuple[float, float]:
-    """`comp_sum` of a rows x cols matrix that is never built whole:
-    strip(r0, r1, bufs) returns its rows r0..r1-1, where bufs are the three
-    (r1 - r0) x cols views of `scratch` (see `strip_scratch`). It may build
-    them in bufs[0] and use bufs[1] and bufs[2] as temporaries; the caller
-    owns the scratch and may reuse it for its next matrix.
+    """`comp_sum` of a rows x cols matrix (rows, cols >= 1) that is never
+    built whole: strip(r0, r1, bufs) returns its rows r0..r1-1, where bufs
+    are the three (r1 - r0) x cols views of `scratch` (see `strip_scratch`).
+    It may build them in bufs[0] and use bufs[1] and bufs[2] as
+    temporaries; the caller owns the scratch and may reuse it for its next
+    matrix.
 
-    Strips are h rows high (`_strip_rows`), so a strip and its fold buffers
-    stay in cache. Matrices narrower than _WIDE keep 2^15-entry strips:
-    with 2^16, a 256 x 256 matrix is one strip, summed whole by comp_sum,
-    and the perfbench `small_sets` workload ran 12% slower and 1.5 MiB
-    larger. Strip k holds entries [k S, (k+1) S) of the raveled matrix,
-    S = h * cols. While 2^(L+1) divides S, level L of the whole-matrix fold
-    pairs entries of one strip only, and only the last strip can pad an odd
-    level. So each strip runs those levels itself, stopping while it still
-    has _STRIP_REST partial sums (below that, each numpy call does too
-    little work to pay for itself), writes their errors one level after
-    another to the front of scratch[3] and adds them with one np.sum. The
-    strips' partial sums, after the errors, finish the tree once per matrix
-    with one np.sum per level, and math.fsum adds all the error sums. The
-    fold's sums ping-pong in the strip buffers, so a caller that keeps its
-    scratch allocates nothing per strip and only the last fold's small
-    error arrays per matrix. Each entry goes through the additions of
-    comp_sum(matrix) in the same order, so the value is comp_sum's bit for
-    bit; the errors are the same too, grouped per strip where comp_sum adds
-    each level's with one np.sum, and both compensations keep the 64 eps
-    sum|x| contract.
+    Strips are h rows high (`_layout`), so a strip and its fold buffers
+    stay in cache; a matrix of at most h rows is one short strip. Strip k
+    holds entries [k S, (k+1) S) of the raveled matrix, S = h * cols.
+    While 2^L divides S, the first L levels of the whole-matrix fold pair
+    entries of one strip only, and only the last strip can pad an odd
+    level. So each strip runs its L levels itself (below _STRIP_REST
+    partial sums a numpy call does too little work to pay for itself, and
+    a level the whole tree lacks would turn a lone -0.0 into +0.0), writes
+    their errors one level after another to the front of scratch[3] and
+    adds them with one np.sum. The strips' partial sums, after the errors,
+    finish the tree once per matrix with one np.sum per level, and
+    math.fsum adds all the error sums. The fold's sums ping-pong in the
+    strip buffers, so a caller that keeps its scratch allocates nothing per
+    strip and only the last fold's small error arrays per matrix. Each
+    entry goes through the additions of comp_sum(matrix) in the same
+    order, so the value is comp_sum's bit for bit, the sign of zero
+    included; the errors are the same too, grouped per strip where
+    comp_sum adds each level's with one np.sum, and both compensations
+    keep the 64 eps sum|x| contract.
     """
     h, local, m, space = _layout(rows, cols)
-    if rows <= h:
-        return comp_sum(strip(0, rows, _views(scratch, rows, cols)))
-    if scratch[3].size < space:
+    if scratch[0].size < h * cols or scratch[3].size < space:
         raise ValueError(f"strip scratch too small for a {rows} x {cols} matrix")
     full, used = _slots(scratch[3], h * cols, local)
     rest, views, sums = scratch[3][used : used + m], _views(scratch, h, cols), []
@@ -124,7 +122,7 @@ def strip_sum(rows: int, cols: int, strip, scratch) -> tuple[float, float]:
         if r1 - r0 < h:
             bufs = _views(scratch, r1 - r0, cols)
             out, k = _slots(scratch[3], (r1 - r0) * cols, local)
-        rest[start >> local : stop >> local] = _fold(strip(r0, r1, bufs).ravel(), out, scratch)
+        rest[start >> local : -(-stop >> local)] = _fold(strip(r0, r1, bufs).ravel(), out, scratch)
         sums.append(np.sum(scratch[3][:k]))
     tail = [None] * (m - 1).bit_length()
     last = _fold(rest, tail, scratch)

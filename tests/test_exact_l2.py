@@ -307,33 +307,38 @@ def _pair_sum_args(monkeypatch, fn, points):
     return args if len(args) == 3 else (*args, None)
 
 
+_WHOLE_BLOCK_SUMS = {}  # (d, n, kernel) -> _whole_block_pair_sum, shared by the thread caps
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_pair_sum_equals_whole_block_comp_sums(monkeypatch, d, threads):
     # every kernel; each worker reuses its strip buffers across full and
     # ragged blocks (1024 + 76, a 1 x 1 last block at 2049, and last blocks
-    # 615 and 1023 wide, which need more partial-sum space than a full
-    # block), so a stale entry left by one block would show at some thread cap
+    # 615 and 1023 wide, whose strips are shorter than a full block's), so a
+    # stale entry left by one block would show at some thread cap
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that cap 3 runs on any host
     monkeypatch.setenv("DISCLAB_THREADS", threads)
     for n in (1100, 2049, 1639, 2047):
         p = random_point_set(n, d, 40 + d)
-        for fn in (star_l2, extreme_l2, periodic_l2, diaphony, lambda q: diaphony_truncated(q, 2)):
+        fns = (star_l2, extreme_l2, periodic_l2, diaphony, lambda q: diaphony_truncated(q, 2))
+        for kernel, fn in enumerate(fns):
             x, block_fn, g = _pair_sum_args(monkeypatch, fn, p)
-            want = _whole_block_pair_sum(x, block_fn, g)
-            assert exact_l2._pair_sum(x, block_fn, g) == want, (n, fn)
+            if (d, n, kernel) not in _WHOLE_BLOCK_SUMS:
+                _WHOLE_BLOCK_SUMS[d, n, kernel] = _whole_block_pair_sum(x, block_fn, g)
+            assert exact_l2._pair_sum(x, block_fn, g) == _WHOLE_BLOCK_SUMS[d, n, kernel], (n, fn)
 
 
 MEMORY_FNS = [star_l2, extreme_l2, periodic_l2, diaphony, lambda p: diaphony_truncated(p, 8)]
 
 
-def _traced(monkeypatch, fn, threads):
+def _traced(monkeypatch, fn, threads, n=4096):
     """(bytes still traced after fn returns, traced peak) of fn on Halton
-    (2, 3), n = 4096, with the cycle collector off, so buffers that only it
-    would free stay traced."""
+    (2, 3) with n points, with the cycle collector off, so buffers that only
+    it would free stay traced."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("DISCLAB_THREADS", str(threads))
-    p = prefix(Halton((2, 3)), 4096)
+    p = prefix(Halton((2, 3)), n)
     collecting = gc.isenabled()
     gc.disable()
     tracemalloc.start()
@@ -351,21 +356,24 @@ def test_pair_sum_memory_stays_small_at_one_worker(monkeypatch, fn):
     # a whole 1024 x 1024 block and comp_sum's temporaries took 24-32 MiB;
     # strips leave a scratch set of three 2^16-entry strips, 1.5 MiB, one
     # strip's level errors, 0.5 MiB, and the block's partial sums, 0.25 MiB:
-    # 2.5 MiB traced
-    _, peak = _traced(monkeypatch, fn, 1)
-    assert peak < 3.5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # 2.5 MiB traced. 2047 points end in a 1024 x 1023 block, which the
+    # full block's set holds
+    for n in (4096, 2047):
+        _, peak = _traced(monkeypatch, fn, 1, n)
+        assert peak < 3.5 * 2**20, f"n = {n}: peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("fn", MEMORY_FNS)
 def test_pair_sum_memory_stays_small_at_two_workers(monkeypatch, fn):
     # each worker in flight holds one block's buffers and one scratch set
-    _, peak = _traced(monkeypatch, fn, 2)
-    assert peak < 2 * 3.5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    for n in (4096, 2047):
+        _, peak = _traced(monkeypatch, fn, 2, n)
+        assert peak < 2 * 3.5 * 2**20, f"n = {n}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_ragged_last_blocks_keep_their_bits():
-    # last blocks 615, 1023 and 1023 columns wide, the widths whose partial
-    # sums need more scratch than a full block's
+    # last blocks 615, 1023 and 1023 columns wide, whose 2^15-entry strips
+    # fold one level less than a full block's and leave more partial sums
     for n, star, extreme in ((1639, "0x1.3c32e452d0daep+1", "0x1.9587f189800b3p-1"),
                              (2047, "0x1.044254829d848p+1", "0x1.98bb6bc583db6p-1"),
                              (3071, "0x1.0dcc26308336bp+1", "0x1.c33af779ca53ep-1")):

@@ -127,7 +127,7 @@ def test_strip_fold_equals_comp_sum_of_the_built_block(rows, cols, d):
     gi, gj = rng.random(rows) / 2.0, rng.random(cols) / 2.0
     kernel = _product_kernel(_star_factor)
     whole = kernel(xi, xj, *(np.empty((rows, cols)) for _ in range(3)))
-    scratch = strip_scratch((rows, cols))
+    scratch = strip_scratch(rows, cols)
     _assert_strip_sum(strip_sum(rows, cols, lambda r0, r1, bufs: kernel(xi[r0:r1], xj, *bufs),
                                 scratch), whole)
 
@@ -151,7 +151,7 @@ def test_strip_sum_groups_errors_per_strip_at_full_strip_sizes(rows, cols):
     rng = np.random.default_rng(rows * 31 + cols)
     m = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-12.0, 12.0, (rows, cols))
     _assert_strip_sum(strip_sum(rows, cols, lambda r0, r1, bufs: m[r0:r1],
-                                strip_scratch((rows, cols))), m)
+                                strip_scratch(rows, cols)), m)
 
 
 @given(st.integers(1, 300), st.integers(1, 150), st.integers(0, 2**32 - 1))
@@ -173,7 +173,7 @@ def test_strip_fold_equals_comp_sum_with_small_strips(rows, cols, seed):
     saved = summation._STRIP, summation._STRIP_REST
     summation._STRIP, summation._STRIP_REST = 64, 4
     try:
-        folded = strip_sum(rows, cols, strip, strip_scratch((rows, cols)))
+        folded = strip_sum(rows, cols, strip, strip_scratch(rows, cols))
         _assert_strip_sum(folded, m)
     finally:
         summation._STRIP, summation._STRIP_REST = saved
@@ -182,26 +182,35 @@ def test_strip_fold_equals_comp_sum_with_small_strips(rows, cols, seed):
     assert abs((folded[0] + folded[1]) - math.fsum(terms)) <= budget
 
 
+def test_strip_sum_keeps_comp_sums_sign_of_zero():
+    # a strip that folded a level the whole tree does not run would pad its
+    # last partial sum with +0.0, and -0.0 + 0.0 is +0.0
+    for rows in range(1, 40):
+        for cols in (1, 2, 3, 5, 8, 17):
+            m = np.full((rows, cols), -0.0)
+            scratch = strip_scratch(rows, cols)
+            value = strip_sum(rows, cols, lambda r0, r1, bufs: m[r0:r1], scratch)[0]
+            assert math.copysign(1.0, value) == math.copysign(1.0, comp_sum(m)[0]), (rows, cols)
+
+
 def test_full_block_scratch_holds_every_smaller_block():
-    # a pair sum sizes one scratch set per worker from its block shapes:
-    # 1024 x 1024, 1024 x c and c x c for a last block c wide. The set must
-    # hold each block's strip, a full strip's level errors and the block's
-    # partial sums; for c = 615..1023 the 1024 x c block needs the most
+    # a pair sum sizes one scratch set per worker from its largest block,
+    # 1024 x 1024 from 1024 points on. The set must hold the strip, a full
+    # strip's level errors and the partial sums of every block the call
+    # makes, 1024 x c and c x c, and of c x 1024 too
+    scratch = strip_scratch(1024, 1024)
+    *strips, space = (b.size for b in scratch)
     for c in range(1, 1025):
-        shapes = [(1024, 1024), (1024, c), (c, c)]
-        *strips, space = (b.size for b in strip_scratch(*shapes))
-        for rows, cols in shapes:
-            h = summation._strip_rows(cols)
-            span = h * cols
-            local = min(span & -span, span // summation._STRIP_REST).bit_length() - 1
-            assert min(strips) >= min(h, rows) * cols, (rows, cols)
-            if rows > h:
-                errors = sum(span >> level for level in range(1, local + 1))
-                assert space >= errors + -(-rows * cols >> local), (rows, cols)
-    # a scratch set for other shapes need not hold a matrix: 511 columns
-    # fold one level less than 512 before the partial sums, and 1023
-    # columns keep 2^15-entry strips that fold two less than 1024
-    for rows, cols, other in ((1024, 511, (1024, 512)), (1024, 1023, (1024, 1024))):
-        m = np.ones((rows, cols))
-        with pytest.raises(ValueError, match="too small"):
-            strip_sum(rows, cols, lambda r0, r1, bufs: m[r0:r1], strip_scratch(other))
+        for rows, cols in ((1024, c), (c, c), (c, 1024)):
+            h, local = summation._layout(rows, cols)[:2]
+            errors = sum(-(-h * cols >> level) for level in range(1, local + 1))
+            assert min(strips) >= h * cols, (rows, cols)
+            assert space >= errors + -(-rows * cols >> local), (rows, cols)
+    rng = np.random.default_rng(5)
+    for rows, cols in ((1024, 511), (1024, 615), (1024, 1023), (615, 615), (1023, 1024)):
+        m = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-12.0, 12.0, (rows, cols))
+        _assert_strip_sum(strip_sum(rows, cols, lambda r0, r1, bufs: m[r0:r1], scratch), m)
+    # a smaller set does not hold a larger matrix
+    m = np.ones((1024, 1024))
+    with pytest.raises(ValueError, match="too small"):
+        strip_sum(1024, 1024, lambda r0, r1, bufs: m[r0:r1], strip_scratch(512, 512))
