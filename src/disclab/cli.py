@@ -5,9 +5,9 @@
 All floating-point output is printed with 17 significant digits and every
 random quantity is driven by an explicit or default seed, so identical
 invocations produce byte-identical output. DISCLAB_THREADS caps the worker
-threads of Monte Carlo sampling (`oracle --threads` overrides it) and of the
-closed-form pair sums, never above the CPU count; results do not depend on
-the cap. `compute` and `scan` take their evaluator from
+threads of Monte Carlo sampling (`oracle --threads` overrides it), of the
+closed-form pair sums and of the exact d = 1 L_p integrand, never above the
+CPU count; results do not depend on the cap. `compute` and `scan` take their evaluator from
 `lp_oracle.estimate`; the diaphony is defined at p = 2 only. Exit codes: 0
 success, 1 domain error (a request too large to allocate included), 2 usage
 error, 3 a verification verdict failed.

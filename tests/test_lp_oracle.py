@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -415,6 +416,56 @@ def test_extreme_power_sum_matches_row_loop_reference_bits_across_blocks(family)
         assert _outcome(lp_oracle._lp_1d_power_sum, x, "extreme", p) == _outcome(row_loop_reference, x, p)
 
 
+@pytest.mark.parametrize("family, n", [("vdc2", 699), ("vdc3", 699), ("random", 699),
+                                       ("vdc2", 2048), ("vdc3", 2048), ("random", 2048)])
+def test_extreme_power_sum_bits_do_not_depend_on_threads_or_blocks(monkeypatch, family, n):
+    # the row blocks run on the worker pool; each row is still summed by its
+    # own fsum and the rows are added in row order, so neither the thread
+    # cap nor the block size moves a bit. At 2^12 entries a block, hundreds
+    # of blocks go through 8 workers that switch every 10 us, so two workers
+    # that shared a scratch set would overwrite each other's entries.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that caps 3 and 8 run on any host
+    x = _bit_test_points(family, 2, n)
+    runs = [(lp_oracle._BLOCK_ENTRIES, t) for t in ("1", "2", "3")] + [(1 << 12, "8")]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for p in (1.5, 7.3):
+            want = _outcome(row_loop_reference, x, p)
+            for block, threads in runs:
+                monkeypatch.setattr(lp_oracle, "_BLOCK_ENTRIES", block)
+                monkeypatch.setenv("DISCLAB_THREADS", threads)
+                got = _outcome(lp_oracle._lp_1d_power_sum, x, "extreme", p)
+                assert got == want, (p, block, threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _late_overflow_points():
+    """201 distinct values, 9800 of the 10^4 points at 0.8: only the cells
+    just below the cluster (rows 190..200) pair with |s| > 8954, where
+    |s|^78 leaves the double range, while n**76 = 1e304 stays finite."""
+    spread = (np.arange(190) + 0.5) / 380
+    near = 0.8 - np.arange(1, 11) * 1e-7
+    return np.concatenate([spread, near, np.full(9800, 0.8)])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_extreme_power_sum_raises_in_a_pool_worker(monkeypatch, threads):
+    # numpy's error state does not reach pool threads, so a block that runs
+    # on a worker must raise on overflow itself, or the overflow becomes inf
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that 2 workers run on any host
+    x = _late_overflow_points()
+    m = np.unique(x).size + 1
+    assert lp_oracle._BLOCK_ENTRIES // (m - 1) < 190  # the overflow sits after the first block
+    monkeypatch.setenv("DISCLAB_THREADS", threads)
+    want = _outcome(row_loop_reference, x, 76.0)
+    assert want is FloatingPointError
+    assert _outcome(lp_oracle._lp_1d_power_sum, x, "extreme", 76.0) == want
+    with pytest.raises(GuardError, match="overflows"):
+        exact_lp_1d(PointSet(x[:, None]), "extreme", 76.0)
+
+
 def star_power_sum_reference(x, p):
     """The star power sum on the cell table from before the corner counts."""
     n = x.size
@@ -466,17 +517,21 @@ def test_corner_counts_equal_brute_force_on_tied_sets():
         np.testing.assert_array_equal(cum, want)
 
 
-def test_exact_lp_1d_extreme_memory_is_bounded():
-    # the cell pairs are built in blocks of about 2^14 entries, not as one
-    # 4096 x 4096 table (128 MiB per array)
+def test_exact_lp_1d_extreme_memory_is_bounded(monkeypatch):
+    # the cell pairs are built in blocks of at most 2^14 entries, not as one
+    # 4096 x 4096 table (128 MiB per array), and each worker in flight holds
+    # one scratch set of eleven block arrays
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that 2 workers run on any host
     pts = prefix(VanDerCorput(2), 4096)
-    tracemalloc.start()
-    try:
-        exact_lp_1d(pts, "extreme", 1.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DISCLAB_THREADS", threads)
+        tracemalloc.start()
+        try:
+            exact_lp_1d(pts, "extreme", 1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, threads
 
 
 def test_exact_lp_1d_overflow_is_guard_error():
