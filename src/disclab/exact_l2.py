@@ -45,20 +45,18 @@ depends on nothing but its entries and shape.
 
 Every kernel factor, the product, the diaphony's K + a + K a and the g
 subtraction write into strip buffers with `out=`, operands in the plain
-expression's order, so each entry is the same double. Each worker in flight
-reuses one `summation.strip_scratch` set, sized for the call's largest
-block, for the whole pair sum, so a strip costs a few dozen numpy calls and
-no allocation: few calls hold the interpreter lock, and two workers overlap.
-Block pairs run on the worker pool (DISCLAB_THREADS, else 8; never more than
-the CPU count), and their (value, compensation) pairs are added in block
-order by `summation.running_sum`, so results do not depend on the thread
-count.
+expression's order, so each entry is the same double. Block pairs run on
+the worker pool (`pointsets._ordered_map`, capped by `_thread_count`), and
+each worker reuses one `summation.strip_scratch` set for the whole pair sum,
+so a strip costs a few dozen numpy calls and no allocation: few calls hold
+the interpreter lock, and two workers overlap. The blocks' (value,
+compensation) pairs are added in block order by `summation.running_sum`, so
+results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
-import queue
 import sys
 
 import numpy as np
@@ -96,17 +94,16 @@ def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[flo
     per-point term g is folded into the summand.
     Off-diagonal blocks contribute twice (symmetry); the factor two is exact.
 
-    Each block is built and folded in row strips by `strip_sum`, and block
-    pairs run on the worker pool; their (value, compensation) pairs are
-    added in block order by one compensated running sum. A block takes a
-    scratch set from a pool that lives for this call and puts it back when
-    done, so there is one set per worker in flight, sized for its largest
-    block, which holds every smaller one."""
+    Each block is built and folded in row strips by `strip_sum`, in the
+    strip scratch set of its worker (see `pointsets._ordered_map`), sized
+    for the call's largest block, which holds every smaller one. The block
+    pairs' (value, compensation) pairs are added in block order by one
+    compensated running sum."""
     n = x.shape[0]
+    size = min(n, _BLOCK)
     pairs = [(i0, j0) for i0 in range(0, n, _BLOCK) for j0 in range(i0, n, _BLOCK)]
-    idle = queue.SimpleQueue()
 
-    def block_sum(pair):
+    def block_sum(pair, scratch):
         i0, j0 = pair
         xi, xj = x[i0 : i0 + _BLOCK], x[j0 : j0 + _BLOCK]
 
@@ -117,16 +114,10 @@ def _pair_sum(x: np.ndarray, block_fn, g: np.ndarray | None = None) -> tuple[flo
                 K -= g[None, j0 : j0 + xj.shape[0]]
             return K
 
-        try:
-            scratch = idle.get_nowait()
-        except queue.Empty:
-            scratch = strip_scratch(min(n, _BLOCK), min(n, _BLOCK))
-        try:
-            return strip_sum(xi.shape[0], xj.shape[0], strip, scratch)
-        finally:
-            idle.put(scratch)
+        return strip_sum(xi.shape[0], xj.shape[0], strip, scratch)
 
-    sums = np.array(_ordered_map(block_sum, pairs))  # row k: block pair k's (hi, lo)
+    # row k: block pair k's (hi, lo)
+    sums = np.array(_ordered_map(block_sum, pairs, scratch=lambda: strip_scratch(size, size)))
     sums[[j0 > i0 for i0, j0 in pairs]] *= 2.0
     value, comp = running_sum(sums.ravel())
     return float(value[-1]), float(comp[-1])

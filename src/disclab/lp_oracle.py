@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import queue
 import sys
 from dataclasses import dataclass
 
@@ -231,12 +230,12 @@ def _phi1_psi(s: np.ndarray, p: float, psi: np.ndarray, r: np.ndarray,
 
 
 # Cell pairs per row block of the extreme integrand: at most this many, or
-# one row where a row is longer. Each worker in flight holds one scratch set
-# of ten double arrays and one boolean array, each the size of the call's
-# largest block (1.4 MiB in all at 2^14 entries). Entry (i, j) depends on
-# cells i and j alone, so the size moves no bit. 2^15 ran the d = 1 extreme
-# scan about 5% faster at two threads, but its scratch raised the scan's
-# peak resident memory by 1.3 MiB against 0.2 MiB.
+# one row where a row is longer. Each pool worker (`pointsets._ordered_map`)
+# holds one scratch set of ten double arrays and one boolean array, each the
+# size of the call's largest block (1.4 MiB in all at 2^14 entries). Entry
+# (i, j) depends on cells i and j alone, so the size moves no bit. 2^15 ran
+# the d = 1 extreme scan about 5% faster at two threads, but its scratch
+# raised the scan's peak resident memory by 1.3 MiB against 0.2 MiB.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -252,9 +251,9 @@ def exact_lp_1d(points: PointSet, kind: str, p: float) -> float:
 
     The extreme cell pairs (i, j > i) are built as 2-d arrays, a block of
     rows of at most 2^14 entries at a time, so memory stays bounded at any n.
-    The blocks run on the worker pool (DISCLAB_THREADS, else 8; never more
-    than the CPU count), and each worker in flight reuses one scratch set
-    for the whole call, written with `out=`. Every entry has the same
+    The blocks run on the worker pool (`pointsets._ordered_map`), and each
+    worker reuses one scratch set for the whole call, written with `out=`,
+    under the caller's raising error state. Every entry has the same
     expression as in a one-row-at-a-time loop, each row i is still summed by
     one `math.fsum`, and the row sums are added in row order, so the result
     is bit-identical to that loop's at any thread count and block size.
@@ -295,28 +294,16 @@ def _lp_1d_power_sum(x: np.ndarray, kind: str, p: float) -> float:
         blocks.append((i0, i1))
         i0 = i1
     size = max([(i1 - i0) * (m - 1 - i0) for i0, i1 in blocks], default=0)
-    idle = queue.SimpleQueue()
-
-    def block_rows(block):
-        try:
-            scratch = idle.get_nowait()
-        except queue.Empty:
-            scratch = [np.empty(size) for _ in range(10)] + [np.empty(size, dtype=bool)]
-        try:
-            # the error state is per thread: a pool worker starts from numpy's default
-            with np.errstate(over="raise", invalid="raise"):
-                return _extreme_rows(a, lo, hi, widths, n, p, *block, scratch)
-        finally:
-            idle.put(scratch)
-
-    for sums in _ordered_map(block_rows, blocks):
+    rows = functools.partial(_extreme_rows, a, lo, hi, widths, n, p)
+    dtypes = [np.float64] * 10 + [bool]  # one scratch array of each, the largest block's size
+    for sums in _ordered_map(rows, blocks, scratch=lambda: [np.empty(size, t) for t in dtypes]):
         parts += sums
     return math.fsum(parts)
 
 
-def _extreme_rows(a, lo, hi, widths, n, p, i0, i1, scratch) -> list[float]:
+def _extreme_rows(a, lo, hi, widths, n, p, block, scratch) -> list[float]:
     """The fsum of each cell row i0..i1-1 of the extreme integrand over its
-    pairs (i, j > i), built in the scratch set's arrays.
+    pairs (i, j > i), block = (i0, i1), built in the scratch set's arrays.
 
     The rows go against columns i0+1..m-1 as an (h, c) table; entry (i, j)
     is the cell pair i < j, and the entries with j <= i are zeroed before
@@ -332,7 +319,7 @@ def _extreme_rows(a, lo, hi, widths, n, p, i0, i1, scratch) -> list[float]:
     as in a one-row-at-a-time loop, and only two breakpoints' phi1 and psi
     are live at once.
     """
-    m = lo.size
+    (i0, i1), m = block, lo.size
     h, c = i1 - i0, m - 1 - i0
     gap, w1, w2, w3, w4, mid, phi_a, psi_a, phi_b, psi_b, zero = (
         buf[: h * c].reshape(h, c) for buf in scratch)

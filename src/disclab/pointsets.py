@@ -1,6 +1,6 @@
 """Point sets in [0,1)^d, axis-parallel test boxes, counting and local
-discrepancy, the CSV point format, and the worker pool that the Monte Carlo
-oracle and the closed-form pair sums share.
+discrepancy, the CSV point format, and the one worker pool, shared by the
+Monte Carlo oracle, the pair sums and the d = 1 extreme L_p integrand.
 
 Conventions used everywhere in the package:
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -295,14 +296,28 @@ def _thread_count(requested: int = 0) -> int:
     return min(requested if requested > 0 else 8, os.cpu_count() or 1)
 
 
-def _ordered_map(fn, items: list, threads: int = 0) -> list:
-    """[fn(item) for item in items] on up to _thread_count(threads) threads.
-    Results come back in item order, so a caller that combines them in that
-    order gets the same bits at any worker count."""
+def _ordered_map(fn, items: list, threads: int = 0, scratch=None) -> list:
+    """[fn(item) for item in items] on up to _thread_count(threads) threads,
+    each call under the caller's numpy error state (a pool thread enters it
+    around each call, since it starts from numpy's default). Results come
+    back in item order, so a caller that combines them in that order gets
+    the same bits at any worker count. With a `scratch` factory each call is
+    fn(item, buf): a worker builds its one buf on first need, so no two
+    calls in flight share one, and every buf is dropped when the map
+    returns."""
+    local = threading.local()
+
+    def task(item):
+        if scratch is None:
+            return fn(item)
+        if not hasattr(local, "buf"):
+            local.buf = scratch()
+        return fn(item, local.buf)
+
     if len(items) > 1 and (workers := _thread_count(threads)) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(item) for item in items]
+            return list(ex.map(np.errstate(**np.geterr())(task), items))
+    return [task(item) for item in items]
 
 
 def count_points(points: PointSet, box: PeriodicBox) -> int:

@@ -3,9 +3,10 @@
 The pair sums behind the closed-form discrepancies add Theta(N^2) terms whose
 total is many orders of magnitude smaller than the sum of absolute values.
 Plain float64 accumulation (even numpy's pairwise `sum`) cannot be trusted to
-ten significant digits at N ~ 2^16, so every sum in this package goes
-through `comp_sum` or `running_sum`, both of which carry an explicit
-compensation term alongside the value.
+ten significant digits at N ~ 2^16, so every cancelling sum in this package
+goes through `strip_sum` or `running_sum`, which carry a compensation term
+beside the value, or the correctly rounded `math.fsum`; `comp_sum` is the
+value reference that `strip_sum` matches bit for bit.
 
 `comp_sum` reduces an array with an exact binary TwoSum tree and accumulates
 the per-level rounding errors; the (value, compensation) pair it returns

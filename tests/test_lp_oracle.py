@@ -1,7 +1,9 @@
 import math
 import os
 import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +112,54 @@ def test_worker_count_never_exceeds_the_cpu_count(monkeypatch):
     for threads in (10**6, 0):
         mc_lp(random_point_set(16, 2, 6), McConfig(200_000, 9, threads=threads), "star", 2.0)
     assert asked == [2, 2]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ordered_map_tasks_run_under_the_callers_error_state(monkeypatch, threads):
+    # a pool thread starts from numpy's default error state, so the map
+    # enters the caller's state around every task
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that 2 workers run on any host
+    with np.errstate(over="raise", under="raise"):
+        states = pointsets._ordered_map(lambda _: np.geterr(), list(range(8)), threads)
+    assert [(s["over"], s["under"]) for s in states] == [("raise", "raise")] * 8
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_ordered_map_scratch_is_one_per_worker_and_never_shared(monkeypatch, threads):
+    # tasks that switch every 10 us would show a buf handed to two calls at once
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that 3 workers run on any host
+    lock, built, held, shared = threading.Lock(), [], set(), []
+
+    class Buf:
+        pass
+
+    def factory():
+        with lock:
+            built.append(Buf())
+            return built[-1]
+
+    def task(item, buf):
+        with lock:
+            if buf in held:
+                shared.append(item)
+            held.add(buf)
+        sum(range(2000))
+        with lock:
+            held.discard(buf)
+        return item
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        got = pointsets._ordered_map(task, list(range(400)), threads, scratch=factory)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == list(range(400))
+    assert shared == []
+    assert 1 <= len(built) <= threads
+    refs = [weakref.ref(buf) for buf in built]
+    built.clear()
+    assert [r() for r in refs] == [None] * len(refs)  # the map kept no buf
 
 
 def _chunk_peak_bytes(n: int, d: int = 2, kind: str = "extreme") -> int:
@@ -452,8 +502,9 @@ def _late_overflow_points():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_extreme_power_sum_raises_in_a_pool_worker(monkeypatch, threads):
-    # numpy's error state does not reach pool threads, so a block that runs
-    # on a worker must raise on overflow itself, or the overflow becomes inf
+    # numpy's error state does not reach pool threads by itself: the pool
+    # carries the caller's raising state into each block, or an overflow
+    # on a worker would become inf
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that 2 workers run on any host
     x = _late_overflow_points()
     m = np.unique(x).size + 1
