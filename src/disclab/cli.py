@@ -43,15 +43,11 @@ _MAX_NS = 1 << 20  # steps of one --ns range schedule
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "null"
     if isinstance(x, float):
         if math.isinf(x):
             return '"inf"'
         return f"{x:.17g}"
-    if isinstance(x, int):
-        return str(x)
-    return json.dumps(x)
+    return json.dumps(x)  # None as null, an int as its digits, a string quoted
 
 
 def _estimate_fields(est: Estimate) -> dict:
@@ -82,11 +78,24 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _parse(conv, text: str, message: str):
+    """conv(text), or a DisclabError with `message` if conv refuses it."""
+    try:
+        return conv(text)
+    except ValueError:
+        raise DisclabError(message) from None
+
+
+def _parse_list(text: str, flag: str) -> list[int]:
+    """A comma list of integers given to `flag`."""
+    return _parse(lambda t: [int(tok) for tok in t.split(",")], text, f"bad {flag} list: {text!r}")
+
+
 def _make_generator(args) -> Halton:
     """The sequence that `_add_sequence_args`'s flags name."""
     if args.family == "vdc":
         return VanDerCorput(base=args.base)
-    return Halton(tuple(int(b) for b in args.bases.split(",")))
+    return Halton(tuple(_parse_list(args.bases, "--bases")))
 
 
 def _parse_ns(text: str) -> list[int]:
@@ -96,18 +105,12 @@ def _parse_ns(text: str) -> list[int]:
     if ".." in text:
         rng, _, sched = text.partition(":")
         a_s, _, b_s = rng.partition("..")
-        try:
-            a, b = int(a_s), int(b_s)
-        except ValueError:
-            raise DisclabError(f"bad range in --ns: {text!r}") from None
+        a, b = (_parse(int, t, f"bad range in --ns: {text!r}") for t in (a_s, b_s))
         if a < 1 or b >= MAX_INDEX:
             raise DisclabError(f"--ns range must lie in [1, 2^53): {text!r}")
         name, _, par = sched.partition(":")
         if name in ("", "geometric"):
-            try:
-                factor = float(par) if par else 2.0
-            except ValueError:
-                raise DisclabError(f"bad geometric factor in --ns: {text!r}") from None
+            factor = _parse(float, par or "2", f"bad geometric factor in --ns: {text!r}")
             if not 1.0 < factor < math.inf:
                 raise DisclabError("geometric factor must be finite and > 1")
             # the loop below stops once x passes b + 1/2
@@ -119,29 +122,20 @@ def _parse_ns(text: str) -> list[int]:
                 x *= factor
             return sorted(set(out))
         if name == "linear":
-            try:
-                step = int(par) if par else max(1, (b - a) // 32)
-            except ValueError:
-                raise DisclabError(f"bad linear step in --ns: {text!r}") from None
+            step = (_parse(int, par, f"bad linear step in --ns: {text!r}") if par
+                    else max(1, (b - a) // 32))
             if step < 1:
                 raise DisclabError("linear step must be >= 1")
             if (b - a) // step >= _MAX_NS:
                 raise DisclabError(f"--ns schedule takes more than {_MAX_NS} steps")
             return list(range(a, b + 1, step))
         raise DisclabError(f"unknown schedule {name!r} in --ns")
-    try:
-        return sorted({int(tok) for tok in text.split(",")})
-    except ValueError:
-        raise DisclabError(f"bad --ns list: {text!r}") from None
+    return sorted(set(_parse_list(text, "--ns")))
 
 
 def _parse_p(text: str) -> float:
-    if text.lower() in ("inf", "infinity", "oo"):
-        return math.inf
-    try:
-        p = float(text)
-    except ValueError:
-        raise DisclabError(f"bad --p value {text!r}") from None
+    # float() reads "inf" and "infinity" in any case
+    p = math.inf if text.lower() == "oo" else _parse(float, text, f"bad --p value {text!r}")
     if not p >= 1.0:  # also rejects nan
         raise DisclabError("p must satisfy p >= 1")
     return p
@@ -226,7 +220,7 @@ def _cmd_verify(args) -> int:
     if args.suite == "inequalities":
         report = inequality_suite(
             trials=args.trials,
-            dims=tuple(int(x) for x in args.dims.split(",")),
+            dims=tuple(_parse_list(args.dims, "--dims")),
             n=args.n,
             seed=args.seed,
         ).to_dict()

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DisclabError, GuardError
 from .exact_l2 import extreme_l2, periodic_l2, star_l2
 from .lp_oracle import McConfig, estimate, mc_lp
-from .pointsets import PointSet
+from .pointsets import PointSet, _as_integer
 from .prefix_scan import prefix_discrepancies
 from .rng import random_point_set
 from .sequences import Halton, VanDerCorput, lift, prefix
@@ -267,7 +267,7 @@ def growth_scan(
     holds along a subsequence, so individual ratios may dip (they do, badly,
     at prefix lengths where the sequence is unusually balanced).
     """
-    ns = sorted(set(int(n) for n in ns))
+    ns = sorted(set(_as_integer("prefix length", n) for n in ns))
     if not ns or ns[0] < 2:
         raise ValueError("scan requires at least one n, and n >= 2 so that log n > 0")
     if math.isinf(p):
@@ -376,7 +376,9 @@ def vdc_star_constant(max_n: int, n_min: int = 2) -> VdcConstantReport:
     """
     if max_n < 16:
         raise ValueError("max_n must be >= 16")
-    n_min = max(2, n_min)
+    n_min = max(2, _as_integer("n_min", n_min))
+    if n_min > max_n:
+        raise ValueError(f"n_min must be <= max_n, got n_min={n_min} and max_n={max_n}")
     vals = prefix_discrepancies(prefix(VanDerCorput(2), max_n), kinds=("star",))["star"]
     ns = np.arange(1, max_n + 1)
     sel = ns >= n_min

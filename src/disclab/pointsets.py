@@ -358,8 +358,8 @@ def read_points(source: str | IO[str]) -> PointSet:
             parts = line.split(",")
             try:
                 vals = [float(p) for p in parts]
-            except ValueError as exc:
-                raise CoordinateError(f"row {lineno}: unparseable value ({exc})") from None
+            except ValueError:
+                raise CoordinateError(f"row {lineno}: unparseable value in {line!r}") from None
             for c in vals:
                 if not math.isfinite(c) or c < 0.0 or c >= 1.0:
                     raise CoordinateError(

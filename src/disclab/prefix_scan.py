@@ -57,13 +57,13 @@ def prefix_discrepancies(
     values: np.ndarray | PointSet, kinds: tuple[str, ...] = KINDS
 ) -> dict[str, np.ndarray]:
     """Values of the requested discrepancies for every prefix of a 1-d
-    sequence, index i holding the value for the first i+1 points."""
-    if isinstance(values, PointSet):
-        if values.d != 1:
-            raise DimensionMismatchError("prefix scans require a one-dimensional sequence")
-        x = values.coords[:, 0].copy()
-    else:
-        x = np.asarray(values, dtype=np.float64).ravel()
+    sequence, index i holding the value for the first i+1 points. An array
+    is checked as a one-column `PointSet`."""
+    if not isinstance(values, PointSet):
+        values = PointSet(np.column_stack([values]))
+    if values.d != 1:
+        raise DimensionMismatchError("prefix scans require a one-dimensional sequence")
+    x = values.coords[:, 0].copy()
     for k in kinds:
         if k not in KINDS:
             raise ValueError(f"unknown kind {k!r}")

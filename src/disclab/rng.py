@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pointsets import PointSet
+from .pointsets import PointSet, _as_integer
 
 __all__ = ["PRNG_NAME", "DEFAULT_SEED", "uniform01", "random_point_set"]
 
@@ -74,6 +74,7 @@ def uniform01(seed: int, start: int, count: int, stride: int = 1) -> np.ndarray:
 
 def random_point_set(n: int, d: int, seed: int) -> PointSet:
     """Seeded uniform point set; point k uses stream positions k*d .. k*d+d-1."""
+    n, d, seed = _as_integer("n", n), _as_integer("d", d), _as_integer("seed", seed)
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
     return PointSet(uniform01(seed, 0, n * d).reshape(n, d))

@@ -224,6 +224,26 @@ def test_scan_bad_schedule_is_domain_error(ns):
     assert "--ns" in r.stderr or "factor" in r.stderr or "step" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["scan", "--ns", "2..x"], "bad range in --ns: '2..x'"),
+        (["scan", "--ns", "2..64:geometric:x"], "bad geometric factor in --ns: '2..64:geometric:x'"),
+        (["scan", "--ns", "2..64:linear:x"], "bad linear step in --ns: '2..64:linear:x'"),
+        (["scan", "--ns", "4,x"], "bad --ns list: '4,x'"),
+        (["scan", "--ns", "4,8", "--p", "x"], "bad --p value 'x'"),
+        (["verify", "--suite", "inequalities", "--dims", "1,x"], "bad --dims list: '1,x'"),
+        (["gen", "--kind", "halton", "--bases", "2,x", "--n", "4"], "bad --bases list: '2,x'"),
+    ],
+)
+def test_malformed_flag_text_is_one_domain_error_line(argv, line, capsys):
+    # --dims and --bases once printed int()'s own "invalid literal" message
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"disclab: error: {line}\n"
+
+
 def test_oracle_overflow_is_domain_error(tmp_path):
     f = tmp_path / "p.csv"
     f.write_text("0.5\n0.25\n")

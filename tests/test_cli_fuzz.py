@@ -3,7 +3,8 @@ point sets and bad flags.
 
 Every invocation must end with exit code 0, 1, 2 or 3: a value, a domain
 error, a usage error or a failed verdict. An exception escaping `main`, a
-traceback on stderr or a numpy warning fails the test.
+traceback on stderr, Python's own int() or float() conversion message on
+stderr, or a numpy warning fails the test.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ def workdir(tmp_path_factory):
 
 
 @given(text=point_files(), argv=invocations())
+@example(text="0.5\n", argv=["verify", "--suite", "inequalities", "--dims", "x"])
 @example(text="0.5\n", argv=["scan", "--ns", "0..4"])
 @example(text="0.5\n", argv=["scan", "--ns", "2..64:geometric:inf"])
 @example(text="0.5\n", argv=["scan", "--ns", "2..64:linear:0"])
@@ -126,3 +128,6 @@ def test_cli_main_never_escapes_its_exit_codes(workdir, text, argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # each refusal names the flag or row it read, not Python's conversion error
+    for message in ("invalid literal for int()", "could not convert string to float"):
+        assert message not in err.getvalue(), (argv, err.getvalue())

@@ -163,6 +163,20 @@ def test_growth_scan_minimum_n():
     assert res.rows[0].rate == pytest.approx(math.sqrt(math.log(2.0)))
 
 
+def test_growth_scan_refuses_fractional_prefix_lengths():
+    # int() once truncated these to a scan of n = 2 and 4
+    with pytest.raises(ValueError, match="prefix length must be an integer, got 2.5"):
+        growth_scan(VanDerCorput(2), "star", 2.0, [2.5, 4.9])
+    res = growth_scan(VanDerCorput(2), "star", 2.0, np.array([2, 4]))
+    assert [r.n for r in res.rows] == [2, 4]
+
+
+def test_inequality_suite_refuses_a_float_point_count():
+    # once a numpy TypeError from the random draw
+    with pytest.raises(ValueError, match="n must be an integer, got 4.0"):
+        inequality_suite(1, dims=(1,), n=4.0)
+
+
 def test_growth_scan_rate_uses_dimension():
     res = growth_scan(Halton((2, 3)), "extreme", 2.0, [4, 16, 64])
     for r in res.rows:
@@ -194,6 +208,16 @@ def test_vdc_star_constant_report():
     assert all(a <= b + 1e-12 for a, b in zip(sups, sups[1:]))
     # per-n ratio peaks sit above the limit constant at reachable depths
     assert rep.sup_ratio > rep.target
+
+
+def test_vdc_star_constant_refuses_n_min_above_max_n():
+    # an empty scan once ended in numpy's argmax of an empty sequence
+    with pytest.raises(ValueError, match="n_min=100 and max_n=64"):
+        vdc_star_constant(64, n_min=100)
+    with pytest.raises(ValueError, match="n_min must be an integer"):
+        vdc_star_constant(64, n_min=2.5)  # once an IndexError from a float index
+    rep = vdc_star_constant(64, n_min=64)
+    assert rep.arg_n == 64 and list(rep.checkpoint_sups) == ["64"]
 
 
 def test_vdc_exponent_report_shape():

@@ -17,6 +17,7 @@ from disclab import (
     random_point_set,
     star_l2,
 )
+from disclab.errors import CoordinateError, DimensionMismatchError
 from scalar_sum import KernelAccumulator
 
 
@@ -58,6 +59,16 @@ def test_engine_kind_selection_and_errors():
         prefix_discrepancies(np.array([0.1]), kinds=("l1",))
     with pytest.raises(Exception):
         prefix_discrepancies(random_point_set(4, 2, 0))
+
+
+def test_engine_checks_arrays_as_a_one_column_point_set():
+    # the raw-array branch once returned [1.5275, 2.5166, nan] for
+    # [2.0, -1.0, nan] and read a (4, 2) array as 8 points in d = 1
+    for bad in ([2.0, -1.0], [0.5, np.nan]):
+        with pytest.raises(CoordinateError):
+            prefix_discrepancies(np.array(bad))
+    with pytest.raises(DimensionMismatchError):
+        prefix_discrepancies(np.full((4, 2), 0.5))
 
 
 def test_engine_dyadic_prefix_star_is_constant():

@@ -51,6 +51,15 @@ def test_random_point_set_layout():
     assert p.n == 5 and p.d == 3
 
 
+@pytest.mark.parametrize(
+    "n, d, seed, name", [(2.5, 1, 0, "n"), (4, 1.0, 0, "d"), (4, 1, 0.0, "seed")]
+)
+def test_random_point_set_refuses_non_integers(n, d, seed, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        random_point_set(n, d, seed)
+    assert random_point_set(np.int64(4), np.int64(1), np.uint64(7)).n == 4
+
+
 def test_distinct_seeds_differ():
     assert not np.array_equal(uniform01(1, 0, 64), uniform01(2, 0, 64))
 
