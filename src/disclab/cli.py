@@ -2,15 +2,18 @@
 
     disclab <gen|lift|compute|oracle|scan|verify> [flags]
 
-All floating-point output is printed with 17 significant digits and every
-random quantity is driven by an explicit or default seed, so identical
-invocations produce byte-identical output. DISCLAB_THREADS caps the worker
-threads of Monte Carlo sampling (`oracle --threads` overrides it), of the
-closed-form pair sums and of the exact d = 1 L_p integrand, never above the
-CPU count; results do not depend on the cap. `compute` and `scan` take their evaluator from
-`lp_oracle.estimate`; the diaphony is defined at p = 2 only. Exit codes: 0
-success, 1 domain error (a request too large to allocate included), 2 usage
-error, 3 a verification verdict failed.
+`compute`, `oracle`, CSV scans, plot data and point files print floats with
+17 significant digits, the JSON of `verify` and `scan --format json` as
+Python's shortest repr; both round-trip, and every random quantity has an
+explicit or default seed, so identical invocations print identical bytes.
+DISCLAB_THREADS (unset, empty or an integer >= 0; `oracle --threads`
+overrides it) caps the worker threads of Monte Carlo sampling, the pair sums
+and the d = 1 L_p integrand, never above the CPU count; results do not depend
+on the cap. Every single-set value comes from `lp_oracle.estimate`, d = 1
+prefixes at p = 2 from the prefix engine, and `oracle` always samples. The
+diaphony is defined at p = 2 only. Exit codes: 0 success, 1 domain error (a
+request too large to allocate included), 2 usage error, 3 a verification
+verdict failed.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import DisclabError, GuardError
-from .exact_l2 import extreme_l2, periodic_l2, star_l2
-from .lp_oracle import McConfig, estimate, mc_lp
+from .lp_oracle import McConfig, estimate
 from .pointsets import PointSet, _as_integer
 from .prefix_scan import prefix_discrepancies
 from .rng import random_point_set
@@ -109,11 +108,11 @@ def inequality_suite(
     """Check the order relations between the discrepancy families on seeded
     random point sets.
 
-    Per trial: extreme <= star and extreme <= periodic at p = 2 (these hold
-    with constant one); wherever `estimate` has an exact supremum (d = 1 at
-    any n, d = 2 for n <= 64) additionally the sandwich
-    star <= extreme <= 2^d star at p = infinity. Any failure beyond rounding
-    tolerance indicates an implementation bug, not randomness.
+    Per trial, every value from `estimate`: extreme <= star and extreme <=
+    periodic at p = 2 (these hold with constant one); wherever `estimate`
+    has an exact supremum (d = 1 at any n, d = 2 for n <= 64) additionally
+    the sandwich star <= extreme <= 2^d star at p = infinity. Any failure
+    beyond rounding tolerance indicates an implementation bug, not randomness.
 
     Only failures and the worst margin per claim are kept, so reports stay
     small at thousands of trials.
@@ -134,7 +133,7 @@ def inequality_suite(
         for t in range(trials):
             pts = random_point_set(n, d, seed + 7919 * d + t)
             meta = {"d": d, "n": n, "trial": t, "seed": seed + 7919 * d + t}
-            s2, e2, p2 = star_l2(pts), extreme_l2(pts), periodic_l2(pts)
+            s2, e2, p2 = (estimate(pts, k, 2.0).value for k in ("star", "extreme", "periodic"))
             record(_leq("extreme_l2<=star_l2", e2, s2, meta))
             record(_leq("extreme_l2<=periodic_l2", e2, p2, meta))
             try:
@@ -175,9 +174,11 @@ def prefix_transference_verify(
         max_{n<=N} extreme_{p,n}(sequence)
             >= 2^(1/p - 1) * extreme_{p,N}(lifted) - 2^(-d/p).
 
-    For p = 2 both sides are exact closed forms. Other p require a Monte
-    Carlo configuration; `_geq` then allows a 3 sigma slack on top of its
-    relative tolerance. The report carries the realized margin per N.
+    Every value is `estimate`'s but the d = 1 prefixes at p = 2, which come
+    from the prefix engine. p = 2 is exact at each dyadic N; other finite p
+    need a Monte Carlo config and check N = n_max, where `_geq` allows a
+    3 sigma slack on top of its relative tolerance. The report carries the
+    realized margin per N.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -185,8 +186,8 @@ def prefix_transference_verify(
         raise GuardError(f"n_max={n_max} exceeds the cap {DEFAULT_LEMMA_CAP}; the lifted "
                          "closed forms cost O(N^2 d) at each dyadic N, and the prefix "
                          "closed forms O(N^3 d) in d >= 2")
-    if p != 2.0 and mc is None:
-        raise ValueError("p != 2 requires a Monte Carlo config")
+    if p != 2.0 and (mc is None or math.isinf(p)):
+        raise ValueError("p != 2 requires a Monte Carlo config, and p must be finite")
     d = gen.d
     cases = []
     full = prefix(gen, n_max)
@@ -195,15 +196,13 @@ def prefix_transference_verify(
     if p == 2.0:
         prefix_best = np.maximum.accumulate([v for v, _ in values.values()]).tolist()
         for n in _dyadic(0, n_max):
-            lifted = lift(full, n)
-            rhs = extreme_l2(lifted) / math.sqrt(2.0) - 2.0 ** (-d / 2.0)
+            rhs = estimate(lift(full, n), "extreme", 2.0).value / math.sqrt(2.0) - 2.0 ** (-d / 2.0)
             cases.append(_geq("prefix_max_extreme>=transferred_bound", prefix_best[n - 1],
                               rhs, {"n": n, "d": d, "p": p, "seq": gen.name}))
     else:
-        assert mc is not None
         # max keeps the first n that reaches the maximum, and its stderr
         best, best_se = max(values.values(), key=lambda v_se: v_se[0])
-        est = mc_lp(lift(full, n_max), mc, "extreme", p)
+        est = estimate(lift(full, n_max), "extreme", p, mc)
         rhs = 2.0 ** (1.0 / p - 1.0) * est.value - 2.0 ** (-d / p)
         sigma = 3.0 * math.hypot(best_se, (est.stderr or 0.0) * 2.0 ** (1.0 / p - 1.0))
         cases.append(_geq("prefix_max_extreme>=transferred_bound(mc)", best, rhs,

@@ -553,7 +553,6 @@ def estimate(points: PointSet, kind: str, p: float, mc: McConfig | None = None) 
         return Estimate(kind, p, exact_lp_1d(points, kind, p), METHOD_PIECEWISE, n, d)
     if mc is None:
         raise MonteCarloRequired(
-            "exact evaluation for p not in {2, inf} exists only for star/extreme "
-            "in d=1; use the oracle subcommand"
+            f"no exact evaluator for {kind} at p={p:g} in d={d}; use the oracle subcommand"
         )
     return mc_lp(points, mc, kind, p)

@@ -25,11 +25,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import (
-    CoordinateError,
-    DimensionMismatchError,
-    EmptyPointSetError,
-)
+from .errors import CoordinateError, DimensionMismatchError, DisclabError, EmptyPointSetError
 
 __all__ = [
     "PointSet",
@@ -285,14 +281,14 @@ def _as_integer(name: str, value) -> int:
 
 
 def _thread_count(requested: int = 0) -> int:
-    """Worker cap: `requested` if positive, else DISCLAB_THREADS if positive,
-    else 8; never more than the CPU count, since each worker in flight holds
-    its own block or chunk buffers."""
+    """Worker cap: `requested` if positive, else DISCLAB_THREADS if positive
+    (unset, empty or an integer >= 0, else a DisclabError), else 8; never more
+    than the CPU count, since each worker in flight holds its own buffers."""
     if requested <= 0:
-        try:
-            requested = int(os.environ.get("DISCLAB_THREADS", "0"))
-        except ValueError:
-            requested = 0
+        text = os.environ.get("DISCLAB_THREADS", "")
+        if text and not text.isdecimal():
+            raise DisclabError(f"DISCLAB_THREADS must be an integer >= 0, got {text!r}")
+        requested = int(text or "0")
     return min(requested if requested > 0 else 8, os.cpu_count() or 1)
 
 

@@ -115,6 +115,17 @@ def test_oracle_rejects_negative_threads(tmp_path):
     assert r.stderr.startswith("disclab: error:") and "threads" in r.stderr
 
 
+@pytest.mark.parametrize("cap", ["x", "2.5", "-3"])
+def test_compute_refuses_a_malformed_or_negative_thread_cap(tmp_path, cap):
+    # 2048 points are two block rows: three block pairs, so the pool reads the cap
+    f = tmp_path / "vdc.csv"
+    assert main(["gen", "--kind", "vdc", "--n", "2048", "--out", str(f)]) == 0
+    r = run_cli("compute", "--kind", "star", "--in", str(f), env={"DISCLAB_THREADS": cap})
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"disclab: error: DISCLAB_THREADS must be an integer >= 0, got '{cap}'\n"
+
+
 def test_compute_thread_cap_does_not_change_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that caps 3 and 4 run on any host
     # n = 2100 gives three ragged block rows: six block pairs for the pool to split
@@ -315,7 +326,9 @@ def test_compute_rejects_nonexact_combination(tmp_path):
     f.write_text("0.5,0.5\n")
     r = run_cli("compute", "--kind", "star", "--p", "3", "--in", str(f))
     assert r.returncode == 1
-    assert "oracle" in r.stderr
+    assert r.stderr == (
+        "disclab: error: no exact evaluator for star at p=3 in d=2; use the oracle subcommand\n"
+    )
 
 
 def test_compute_overflow_and_underflow_are_domain_errors(tmp_path):

@@ -21,6 +21,7 @@ from disclab import (
     vdc_exponent_report,
     vdc_star_constant,
 )
+from disclab import exact_l2, lp_oracle
 from disclab.errors import GuardError
 from disclab.experiments import (
     REL_TOL,
@@ -107,6 +108,48 @@ def test_prefix_transference_mc_matches_per_prefix_loop(gen):
     rhs = 2.0 ** (1.0 / p - 1.0) * est.value - 2.0 ** (-gen.d / p)
     sigma = 3.0 * math.hypot(best_se, (est.stderr or 0.0) * 2.0 ** (1.0 / p - 1.0))
     assert (case.lhs, case.rhs, case.meta["three_sigma"]) == (best, rhs, sigma)
+
+
+def _recorded(monkeypatch, module, name):
+    """Wrap module.name; the returned list gets each call's point set."""
+    seen, original = [], getattr(module, name)
+
+    def wrapper(points, *args, **kwargs):
+        seen.append(points)
+        return original(points, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+def test_the_suites_take_their_closed_forms_from_estimate(monkeypatch):
+    # estimate looks the closed forms up at call time, so only calls made
+    # through it reach these wrappers
+    calls = {name: _recorded(monkeypatch, exact_l2, name)
+             for name in ("star_l2", "extreme_l2", "periodic_l2")}
+    inequality_suite(trials=2, dims=(1, 2), n=8)
+    assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 4)
+    calls["extreme_l2"].clear()
+    prefix_transference_verify(VanDerCorput(2), 8)
+    # the d = 1 prefixes come from the prefix engine; the lifted sets from estimate
+    assert [(pts.n, pts.d) for pts in calls["extreme_l2"]] == [(1, 2), (2, 2), (4, 2), (8, 2)]
+
+
+def test_the_lemma1_monte_carlo_bound_samples_through_estimate(monkeypatch):
+    seen = _recorded(monkeypatch, lp_oracle, "mc_lp")
+    assert prefix_transference_verify(VanDerCorput(2), 4, p=1.5, mc=McConfig(2000, 1)).passed
+    # the d = 1 prefixes are exact, so the lifted set is the one sampled
+    assert [(pts.n, pts.d) for pts in seen] == [(4, 2)]
+
+
+def test_prefix_transference_refuses_p_inf_before_any_prefix(monkeypatch):
+    # it used to take the supremum of every prefix before mc_lp refused p = inf
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a prefix supremum was evaluated")
+
+    monkeypatch.setattr(lp_oracle, "linf_exact_small", unexpected)
+    with pytest.raises(ValueError, match="p must be finite"):
+        prefix_transference_verify(VanDerCorput(2), 512, p=math.inf, mc=McConfig(1000, 1))
 
 
 @pytest.mark.parametrize("rhs", [0.5, -0.5, 1e3, -1e3])

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -112,6 +113,26 @@ def test_worker_count_never_exceeds_the_cpu_count(monkeypatch):
     for threads in (10**6, 0):
         mc_lp(random_point_set(16, 2, 6), McConfig(200_000, 9, threads=threads), "star", 2.0)
     assert asked == [2, 2]
+
+
+@pytest.mark.parametrize("cap", ["x", "2.5", "-3"])
+def test_a_malformed_or_negative_thread_cap_is_refused(monkeypatch, cap):
+    # it used to be read as unset: the default 8 workers, at most the cpu count
+    monkeypatch.setenv("DISCLAB_THREADS", cap)
+    pts = prefix(Halton((2, 3)), 1100)  # two block rows: three block pairs for the pool
+    message = f"DISCLAB_THREADS must be an integer >= 0, got '{cap}'"
+    with pytest.raises(DisclabError, match=f"^{re.escape(message)}$"):
+        star_l2(pts)
+
+
+@pytest.mark.parametrize("cap", ["", "0"])
+def test_an_empty_or_zero_thread_cap_takes_the_default(monkeypatch, cap):
+    pts = prefix(Halton((2, 3)), 1100)
+    monkeypatch.delenv("DISCLAB_THREADS", raising=False)
+    expected = star_l2(pts)
+    monkeypatch.setenv("DISCLAB_THREADS", cap)
+    assert pointsets._thread_count() == min(8, os.cpu_count() or 1)
+    assert star_l2(pts) == expected
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -12,7 +12,6 @@ from disclab import (
     cli,
     estimate,
     exact_l2,
-    experiments,
     lp_oracle,
     prefix,
     prefix_transference_verify,
@@ -62,7 +61,7 @@ def test_mc_box_tests_reads_samples_points_and_dimension(monkeypatch, tmp_path):
         calls.append((args, kwargs, est))
         return est
 
-    for module in (lp_oracle, experiments, cli):
+    for module in (lp_oracle, cli):
         monkeypatch.setattr(module, "mc_lp", recorded)
     pts = prefix(Halton((2, 3)), 16)
     estimate(pts, "star", 1.5, McConfig(300, 1))
